@@ -18,11 +18,14 @@ The chain of quantities, per observed tier j:
 
 Networks whose tiers share one path-loss exponent use the closed-form
 (incomplete-gamma) power statistics; heterogeneous exponents fall back to
-the mixture density, whose moments are integrated numerically.
+the mixture density, whose moments are integrated numerically over the
+log-power.
 
-For ``eta == 4`` the tail integral has an arctan closed form and every
-metric can be forced through either that route or generic quadrature via
-``method=`` for cross-validation.  ``p_max = inf`` is honoured exactly
+The tail integral is evaluated in closed form for every eta (``method=
+"auto"``): arctan at ``eta == 4``, Gauss hypergeometric otherwise.  Every
+metric can be forced through the arctan form (``"closed_form"``, eta = 4
+only) or through adaptive quadrature of J (``"quadrature"``) to
+cross-check the closed forms.  ``p_max = inf`` is honoured exactly
 (the truncation terms vanish and the gamma factors become complete), not
 approximated by a large number.
 
@@ -152,18 +155,36 @@ def _fractional_moment(
             * lower_incomplete_gamma(a, b)
             / ((math.pi * lam_total) ** (alpha * eta / 2.0) * -math.expm1(-b))
         )
-    dist = TxPowerDistribution(config, tier, kind="mixture")
+    # Mixture: in u = ln x, x^alpha f(x) dx is
+    #   x^alpha sum_k (2/eta_k) w_k exp(-sum_k w_k) du / norm
+    # with the per-tier void exponents w_k = pi lambda_k (x/rho_o)^(2/eta_k)
+    # = exp((2/eta_k)(u - u_k)): a smooth bump, where in x the mass sits
+    # in a spike that can be orders of magnitude narrower than [0, P_u].
+    # The range splits at the log-power where the smallest w_k reaches 1,
+    # and the integrand is scaled by exp(-alpha * split) to be O(1).
+    log_rho = math.log(t.rho_o)
+    terms = [
+        (2.0 / k.eta, log_rho - 0.5 * k.eta * math.log(math.pi * k.intensity))
+        for k in config.tiers
+    ]
+    log_p_max = math.log(config.p_max)
+    split = min(max(u_k for _, u_k in terms), log_p_max)
 
-    def integrand(x: float) -> float:
-        return x**alpha * dist.pdf(x)
+    def bump(v: float) -> float:
+        z = [c * (v + split - u_k) for c, u_k in terms]
+        if max(z) > 700.0:  # exp(-sum_k w_k) underflows
+            return 0.0
+        w = [math.exp(zk) for zk in z]
+        density = sum(c * wk for (c, _), wk in zip(terms, w))
+        return math.exp(alpha * v - sum(w)) * density
 
-    if math.isinf(config.p_max):
-        # split so the endpoint singularity at 0 and the decaying tail are
-        # each handled by the appropriate adaptive rule
-        return integrate_interval(integrand, 0.0, 1.0, quadrature) + (
-            integrate_semi_infinite(integrand, 1.0, quadrature)
-        )
-    return integrate_interval(integrand, 0.0, config.p_max, quadrature)
+    total = integrate_semi_infinite(lambda v: bump(-v), 0.0, quadrature)
+    if math.isinf(log_p_max):
+        total += integrate_semi_infinite(bump, 0.0, quadrature)
+    elif log_p_max > split:
+        total += integrate_interval(bump, 0.0, log_p_max - split, quadrature)
+    norm = TxPowerDistribution(config, tier, kind="mixture")._norm
+    return math.exp(alpha * split) * total / norm
 
 
 def truncation_outage(config: NetworkConfig, tier: int) -> float:
@@ -268,8 +289,10 @@ def sinr_outage(
     """SINR outage probability for an active UE in ``tier``:
     1 - exp(-theta sigma^2/rho_o) * prod_k LT_k(theta/rho_o).
 
-    ``method="closed_form"`` forces the arctan tail (eta must equal 4);
-    ``"quadrature"`` forces the generic adaptive path.
+    ``method="auto"`` evaluates the tail integral in closed form (arctan
+    at eta = 4, hypergeometric otherwise); ``"closed_form"`` forces the
+    arctan tail (eta must equal 4); ``"quadrature"`` integrates the tail
+    adaptively, as a cross-check.
     """
     t = config.tiers[tier]
     s = t.theta / t.rho_o

@@ -32,7 +32,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, analytic, optimize
-from .model import ConfigError, MetricsReport, NetworkConfig, network_from_mapping
+from .model import (
+    ConfigError,
+    MetricsReport,
+    NetworkConfig,
+    dbm_to_watts,
+    network_from_mapping,
+)
 from .montecarlo import (
     SaturationError,
     SimulationReport,
@@ -256,26 +262,30 @@ def _sweep_rows(config, tier, result) -> list[list]:
     return rows
 
 
+def _write_grid(args, digest: str, config: NetworkConfig, tier: int, result,
+                rho_star: float, value: float, report: MetricsReport) -> int:
+    """Write the grid rows of ``result`` and the starred optimum row."""
+    star = _tier_context(config, tier)
+    star[1] = rho_star
+    rows = _sweep_rows(config, tier, result)
+    rows.append(star + _metric_values(report) + [True])
+    _write_csv(args.output, BASE_COLUMNS + ["is_optimum"], rows)
+    _write_manifest(args.output, args.command, digest)
+    print(
+        f"{args.command}: {args.objective} optimum at rho_o = {rho_star:.6g} dBm "
+        f"(value {value:.6g}); wrote {args.output}"
+    )
+    return EXIT_OK
+
+
 def cmd_sweep(args) -> int:
     config, digest = _load_config(args.config)
     tier = args.tier if args.tier is not None else 0
     result = optimize.sweep(
         config, tier, (args.grid_from, args.grid_to, args.steps), args.objective
     )
-    rows = _sweep_rows(config, tier, result)
-    star = _tier_context(config, tier)
-    star[1] = result.argopt
-    report = analytic.full_report(
-        config.with_tier_rho_o(tier, 10 ** ((result.argopt - 30.0) / 10.0)), tier
-    )
-    rows.append(star + _metric_values(report) + [True])
-    _write_csv(args.output, BASE_COLUMNS + ["is_optimum"], rows)
-    _write_manifest(args.output, "sweep", digest)
-    print(
-        f"sweep: {args.objective} optimum at rho_o = {result.argopt:.6g} dBm "
-        f"(value {result.opt_value:.6g}); wrote {args.output}"
-    )
-    return EXIT_OK
+    return _write_grid(args, digest, config, tier, result,
+                       result.argopt, result.opt_value, result.opt_report)
 
 
 def cmd_optimize(args) -> int:
@@ -290,20 +300,10 @@ def cmd_optimize(args) -> int:
     rho_star, value = optimize.refine_optimum(
         config, tier, args.objective, (lo, hi), tol=args.tol_db
     )
-    rows = _sweep_rows(config, tier, result)
-    star = _tier_context(config, tier)
-    star[1] = rho_star
     report = analytic.full_report(
-        config.with_tier_rho_o(tier, 10 ** ((rho_star - 30.0) / 10.0)), tier
+        config.with_tier_rho_o(tier, dbm_to_watts(rho_star)), tier
     )
-    rows.append(star + _metric_values(report) + [True])
-    _write_csv(args.output, BASE_COLUMNS + ["is_optimum"], rows)
-    _write_manifest(args.output, "optimize", digest)
-    print(
-        f"optimize: {args.objective} optimum at rho_o = {rho_star:.6g} dBm "
-        f"(value {value:.6g}); wrote {args.output}"
-    )
-    return EXIT_OK
+    return _write_grid(args, digest, config, tier, result, rho_star, value, report)
 
 
 def build_parser() -> argparse.ArgumentParser:

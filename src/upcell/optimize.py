@@ -18,6 +18,7 @@ import numpy as np
 
 from . import analytic
 from .model import MetricsReport, NetworkConfig, dbm_to_watts
+from .specfun import QuadratureError
 
 __all__ = ["SweepResult", "sweep", "refine_optimum", "objective_value", "OBJECTIVES"]
 
@@ -68,9 +69,9 @@ def _objective_fn(config: NetworkConfig, tier: int, objective: str, method: str)
 class SweepResult:
     """Grid evaluation of the objective over one tier's cutoff (dBm).
 
-    ``reports[i]`` is None when evaluation failed at that grid point (the
-    failure text is kept in ``errors[i]``).  ``argopt``/``opt_value`` obey
-    the smallest-parameter tie rule on plateaus.
+    ``reports[i]`` is None when evaluation failed numerically at that grid
+    point (the failure text is kept in ``errors[i]``).  ``argopt``/
+    ``opt_value`` obey the smallest-parameter tie rule on plateaus.
     """
 
     parameter: str
@@ -80,6 +81,11 @@ class SweepResult:
     errors: list[str | None]
     argopt: float
     opt_value: float
+
+    @property
+    def opt_report(self) -> MetricsReport:
+        """The report at the grid optimum ``argopt``."""
+        return self.reports[int(np.flatnonzero(self.values_dbm == self.argopt)[0])]
 
 
 def sweep(
@@ -92,8 +98,10 @@ def sweep(
     """Evaluate the full analytic report across a rho_o grid (dBm) for one
     tier and locate the grid optimum of the chosen objective.
 
-    A failed grid point is recorded, not fatal.  Ties go to the smallest
-    cutoff, which also minimizes the mean transmit power.
+    A grid point that fails numerically (:class:`QuadratureError` or an
+    ``ArithmeticError``) is recorded, not fatal; any other exception
+    propagates.  Ties go to the smallest cutoff, which also minimizes the
+    mean transmit power.
     """
     lo, hi, steps = grid
     if not lo < hi:
@@ -116,7 +124,7 @@ def sweep(
                 )
             )
             errors.append(None)
-        except Exception as exc:  # record and move on
+        except (QuadratureError, ArithmeticError) as exc:  # record and move on
             reports.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
     scores = [

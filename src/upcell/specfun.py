@@ -1,6 +1,12 @@
 """Numerical kernel: incomplete gamma, the interference tail integral, and
 adaptive quadrature over finite and semi-infinite ranges.
 
+The tail integral J(eta, a) has a closed form for every eta > 2: arctan at
+eta = 4 and a Gauss hypergeometric function otherwise, the same function
+as rho(.) in Andrews, Baccelli and Ganti, "A Tractable Approach to
+Coverage and Rate in Cellular Networks" (2011).  Its adaptive quadrature
+is kept as the cross-check.
+
 Everything here is a pure function of its arguments; there is no shared
 mutable state, so all routines are safe to call concurrently.
 """
@@ -81,6 +87,22 @@ def _tail_integral_quartic(a: float) -> float:
     return 0.5 * (0.5 * math.pi - math.atan(a2))
 
 
+def _tail_integral_hypergeometric(eta: float, a: float) -> float:
+    # Two branches keep the 2F1 argument in [-1, 0], where the series
+    # converges; each term-wise integrates the geometric series of
+    # 1/(1 + y^eta) (a < 1) or of y^-eta / (1 + y^-eta) (a >= 1).
+    delta = 2.0 / eta
+    if a >= 1.0:
+        return (
+            a ** (2.0 - eta) / (eta - 2.0)
+            * special.hyp2f1(1.0, 1.0 - delta, 2.0 - delta, -(a**-eta))
+        )
+    # J(eta, 0) minus the integral over [0, a]
+    return (math.pi / eta) / math.sin(math.pi * delta) - 0.5 * a * a * (
+        special.hyp2f1(1.0, delta, 1.0 + delta, -(a**eta))
+    )
+
+
 def tail_interference_integral(
     eta: float,
     a: float,
@@ -93,9 +115,11 @@ def tail_interference_integral(
     the lower limit encodes the interferer exclusion region.
 
     ``method``:
-      * ``"auto"``         dispatch to the arctan closed form when eta == 4;
-      * ``"closed_form"``  force the closed form (eta must be 4);
-      * ``"quadrature"``   force the generic adaptive path.
+      * ``"auto"``         closed form: arctan when eta == 4, the Gauss
+        hypergeometric form otherwise;
+      * ``"closed_form"``  force the arctan form (eta must be 4);
+      * ``"quadrature"``   adaptive quadrature, the cross-check of the
+        closed forms; ``spec`` applies to this route only.
     """
     if not eta > 2:
         raise ValueError(
@@ -111,11 +135,16 @@ def tail_interference_integral(
         if eta != 4.0:
             raise ValueError("closed form is only available for eta == 4")
         return _tail_integral_quartic(a)
-
-    def integrand(y: float) -> float:
-        return y / (y**eta + 1.0)
-
-    return integrate_semi_infinite(integrand, a, spec)
+    if method == "auto":
+        return _tail_integral_hypergeometric(eta, a)
+    if a < 1.0:
+        return integrate_semi_infinite(lambda y: y / (y**eta + 1.0), a, spec)
+    # y = a t: a^(2-eta) int_1^inf t / (t^eta + a^-eta) dt, so the
+    # tolerance applies to an O(1) integral however small J is
+    c = a**-eta
+    return a ** (2.0 - eta) * integrate_semi_infinite(
+        lambda t: t / (t**eta + c), 1.0, spec
+    )
 
 
 def _check_quad_result(result: tuple, spec: QuadratureSpec) -> float:

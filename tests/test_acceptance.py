@@ -113,6 +113,7 @@ def test_criterion_3_power_saturation_limit():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_model_vs_simulation():
     t0 = time.time()
     lines = []
@@ -138,6 +139,7 @@ def test_criterion_4_model_vs_simulation():
     report("4", ok, "; ".join(lines) + f" ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_intensity_independence():
     t0 = time.time()
     results = []

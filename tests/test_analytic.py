@@ -129,6 +129,35 @@ class TestTxPowerDistribution:
                     mixture.pdf(x), common.pdf(x), rtol=1e-12
                 )
 
+    def test_mixture_mean_power_at_low_cutoff(self):
+        # at rho_o = -120 dBm the power law of tier 0 sits near 1e-7 W,
+        # a spike at the left end of [0, P_u]; reference value from mpmath
+        # at 30 digits over the defining integral, split at decades
+        cfg = NetworkConfig.from_engineering(
+            tiers=[TierConfig.from_engineering(1.0, -120.0, eta=3.2),
+                   TierConfig.from_engineering(10.0, -75.0, eta=4.0)],
+            rho_min_dbm=None,
+        )
+        np.testing.assert_allclose(
+            TxPowerDistribution(cfg, 0).moment(1.0), 3.676180225271e-7,
+            rtol=1e-9,
+        )
+
+    def test_mixture_matches_common_kind_unbounded_low_cutoff(self):
+        cfg = NetworkConfig.from_engineering(
+            tiers=[TierConfig.from_engineering(1.0, -120.0),
+                   TierConfig.from_engineering(10.0, -75.0)],
+            p_max_watts=math.inf,
+            rho_min_dbm=None,
+        )
+        for j in (0, 1):
+            for alpha in (0.5, 1.0):
+                np.testing.assert_allclose(
+                    TxPowerDistribution(cfg, j, kind="mixture").moment(alpha),
+                    TxPowerDistribution(cfg, j, kind="common").moment(alpha),
+                    rtol=1e-9, err_msg=f"tier {j}, alpha={alpha}",
+                )
+
     def test_mixture_normalizes_with_distinct_exponents(self):
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(2.0, -70.0, eta=3.0),
@@ -340,6 +369,17 @@ class TestSpectralEfficiency:
         a = spectral_efficiency(cfg, 0, method="closed_form")
         b = spectral_efficiency(cfg, 0, method="quadrature")
         np.testing.assert_allclose(b, a, rtol=1e-9)
+
+
+@pytest.mark.parametrize("eta", [2.5, 3.5, 6.0])
+def test_hypergeometric_tail_matches_quadrature(eta):
+    for rho in (-90.0, -70.0):
+        cfg = single_tier(eta=eta, rho_o_dbm=rho)
+        for metric in (sinr_outage, spectral_efficiency):
+            np.testing.assert_allclose(
+                metric(cfg, 0, method="quadrature"), metric(cfg, 0), rtol=1e-9,
+                err_msg=f"{metric.__name__}, rho_o={rho} dBm",
+            )
 
 
 class TestFullReport:

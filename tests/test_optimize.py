@@ -7,8 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from upcell import analytic
 from upcell.model import NetworkConfig, TierConfig, dbm_to_watts
 from upcell.optimize import objective_value, refine_optimum, sweep
+from upcell.specfun import QuadratureError
 
 
 def defaults(**overrides):
@@ -66,6 +68,32 @@ class TestSweep:
                        objective="effective_rate")
         rates = [r.effective_spectral_efficiency for r in result.reports]
         assert result.opt_value == pytest.approx(max(rates))
+
+    def test_numeric_failure_recorded(self, monkeypatch):
+        real = analytic.full_report
+        calls = []
+
+        def second_fails(config, tier, **kwargs):
+            calls.append(tier)
+            if len(calls) == 2:
+                raise QuadratureError("synthetic non-convergence")
+            return real(config, tier, **kwargs)
+
+        monkeypatch.setattr(analytic, "full_report", second_fails)
+        result = sweep(defaults(), 0, (-80.0, -60.0, 3))
+        assert result.reports[1] is None
+        assert result.errors == [
+            None, "QuadratureError: synthetic non-convergence", None
+        ]
+        assert result.argopt in (-80.0, -60.0)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(config, tier, **kwargs):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(analytic, "full_report", broken)
+        with pytest.raises(TypeError):
+            sweep(defaults(), 0, (-80.0, -60.0, 3))
 
     def test_invalid_grid(self):
         with pytest.raises(ValueError):

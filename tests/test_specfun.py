@@ -3,7 +3,9 @@ integral, and the adaptive quadrature wrappers, each cross-checked
 against independently coded fixed-order oracles."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -139,6 +141,44 @@ class TestTailInterferenceIntegral:
             expected = (math.pi / eta) / math.sin(2.0 * math.pi / eta)
             np.testing.assert_allclose(
                 tail_interference_integral(eta, 0.0), expected, rtol=1e-9
+            )
+
+    def test_closed_form_against_mpmath_hypergeometric(self):
+        # mpmath evaluates the one-branch form a^(2-eta)/(eta-2)
+        # 2F1(1, 1-2/eta; 2-2/eta; -a^-eta) by analytic continuation for
+        # |z| > 1 as well, so it checks both branches of the implementation
+        # from 1e-300 to 1e300
+        grid = [0.0, 1e-300, 1e-100, 1e-30, 1e-10, 1e-3, 0.1, 0.5, 0.99, 1.0,
+                1.01, 2.0, 10.0, 1e3, 1e10, 1e30, 1e100, 1e300]
+        with mpmath.workdps(30):
+            for eta in (2.01, 2.5, 3.0, 3.5, 4.0, 4.5, 6.0, 8.0):
+                e = mpmath.mpf(eta)
+                for a in grid:
+                    if a == 0.0:
+                        exact = (mpmath.pi / e) / mpmath.sin(2 * mpmath.pi / e)
+                    else:
+                        x = mpmath.mpf(a)
+                        exact = x ** (2 - e) / (e - 2) * mpmath.hyp2f1(
+                            1, 1 - 2 / e, 2 - 2 / e, -x ** (-e)
+                        )
+                    got = tail_interference_integral(eta, a)
+                    if exact < sys.float_info.min:
+                        # below the normal doubles: no relative accuracy
+                        assert got < sys.float_info.min, f"eta={eta}, a={a}"
+                        continue
+                    rel = abs(mpmath.mpf(got) - exact) / exact
+                    assert rel <= 1e-12, f"eta={eta}, a={a}: {float(rel):.2e}"
+
+    @pytest.mark.parametrize("eta", [2.5, 3.5, 4.0, 6.0])
+    def test_quadrature_matches_closed_form_on_grid(self, eta):
+        # includes a = 1e3 at eta = 6, where J = 2.5e-13 sits far below the
+        # absolute tolerance of an unscaled quadrature
+        for a in (0.0, 1e-3, 0.3, 0.99, 1.0, 1.01, 3.0, 10.0, 100.0, 1e3):
+            np.testing.assert_allclose(
+                tail_interference_integral(eta, a, method="quadrature"),
+                tail_interference_integral(eta, a),
+                rtol=1e-9,
+                err_msg=f"eta={eta}, a={a}",
             )
 
     def test_divergent_exponent_rejected(self):
