@@ -35,7 +35,6 @@ from .montecarlo import (
     Realization,
     SaturationError,
     SimulationReport,
-    associate,
     build_realization,
     estimate_metrics,
     realization_rng,
@@ -71,7 +70,6 @@ __all__ = [
     "EstimateWithCI",
     "SimulationReport",
     "sample_ppp",
-    "associate",
     "build_realization",
     "estimate_metrics",
     "realization_rng",

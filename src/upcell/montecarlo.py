@@ -4,21 +4,27 @@ Protocol per realization:
 
 1. Draw each tier's BSs as an independent PPP on an expanded square window
    (the inner measurement window plus a guard ring on every side).
-2. Drop UEs uniformly over the expanded window in batches until every BS
-   inside the inner window has at least one associated UE whose
-   channel-inversion power fits the budget (saturation); realizations
-   that exceed the batch cap are discarded and counted.
-3. Schedule exactly one eligible UE per BS, chosen uniformly at random.
-4. Measure the BS nearest the window centre (a Slivnyak-style surrogate
+2. Schedule one UE per BS, guard ring included, uniform over the BS's
+   eligible region: the points of the expanded window that the BS serves
+   and whose channel-inversion power fits the budget.  Each BS draws
+   rejection-sampling proposals uniformly in a disc that contains that
+   region, of radius min(reach, same-tier cell bound) with reach
+   (P_u / rho_o)^(1/eta), and keeps the first proposal that lies in the
+   window, is served by it, and fits the budget.  Unresolved BSs get
+   twice as many proposals each round; a realization in which an
+   inner-window BS is still unresolved after the round cap is discarded
+   and counted.
+3. Measure the BS nearest the window centre (a Slivnyak-style surrogate
    for the typical BS): its uplink is received at rho_o * h with h a
    unit-mean exponential fade, while every other scheduled UE interferes
    with power P_i h_i d_i^(-eta_j).
-5. Drop one independent probe UE in the inner window to sample the
+4. Drop one independent probe UE in the inner window to sample the
    truncation-outage indicator.
 
 Association follows the best average link: argmin over BSs of
 r^eta_tier(BS) with r in metres, which reduces to nearest-BS association
-when all tiers share an exponent.
+when all tiers share an exponent.  :func:`best_link` makes every such
+decision, for the proposals and the probe alike.
 
 Reproducibility: realization ``i`` of a run uses a counter-based Philox
 stream keyed by ``(seed, i)``, so results are bitwise identical for a
@@ -30,32 +36,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
 from .model import MetricsReport, NetworkConfig
 
 __all__ = [
     "SaturationError",
-    "Association",
     "Realization",
     "EstimateWithCI",
     "SimulationReport",
     "wilson_interval",
     "sample_ppp",
-    "associate",
+    "best_link",
     "build_realization",
     "estimate_metrics",
 ]
 
 MAX_BATCHES_DEFAULT = 50
+# proposals per round over all unresolved BSs, once doubling reaches it
+MAX_ROUND_POINTS = 2**16
 
 
 class SaturationError(RuntimeError):
-    """The UE-drop loop could not activate every in-window BS within the
-    batch cap (likely a high-truncation configuration)."""
+    """An inner-window BS got no scheduled UE within the round cap, or the
+    window holds no usable BS."""
 
 
 def sample_ppp(
@@ -74,47 +80,76 @@ def sample_ppp(
     return rng.uniform(-side / 2.0, side / 2.0, size=(n, 2))
 
 
-@dataclass(frozen=True)
-class Association:
-    bs_index: int
-    tier: int
-    required_power: float
-    truncated: bool
+def best_link(points, trees, etas):
+    """Best-link association of ``points``, an (m, 2) array or one (2,)
+    point: each is served by the BS that minimizes r^eta over every tier
+    (r in metres, eta that BS's tier exponent).
 
-
-def associate(
-    ue: Sequence[float],
-    bs_xy: np.ndarray,
-    bs_tier: np.ndarray,
-    config: NetworkConfig,
-) -> Association:
-    """Best-link association of one UE against an explicit BS layout.
-
-    The serving BS minimizes r^eta over all BSs (r in metres, eta that
-    BS's tier exponent); the required transmit power is
-    rho_o_tier * r^eta, and the UE is truncated when it exceeds p_max.
+    ``trees`` holds one KD-tree per tier, ``None`` for an empty tier; each
+    tree is queried once with all of ``points``.  Returns ``(tier, index,
+    weight)``: the serving BS's tier, its index within that tier, and
+    r^eta to it.  The required transmit power is rho_o of that tier times
+    the weight.
     """
-    bs_xy = np.asarray(bs_xy, dtype=float)
-    if bs_xy.size == 0:
+    if all(tree is None for tree in trees):
         raise ValueError("association requires at least one base station")
-    bs_tier = np.asarray(bs_tier, dtype=int)
-    r = np.hypot(bs_xy[:, 0] - ue[0], bs_xy[:, 1] - ue[1])
-    etas = np.array([t.eta for t in config.tiers])
-    weights = r ** etas[bs_tier]
-    i = int(np.argmin(weights))
-    tier = int(bs_tier[i])
-    required = config.tiers[tier].rho_o * weights[i]
-    return Association(i, tier, float(required), bool(required > config.p_max))
+    points = np.asarray(points, dtype=float)
+    weights = np.full((len(trees),) + points.shape[:-1], np.inf)
+    local = np.zeros(weights.shape, dtype=np.intp)
+    for k, tree in enumerate(trees):
+        if tree is not None:
+            dist, local[k] = tree.query(points)
+            weights[k] = dist ** etas[k]
+    tier = np.argmin(weights, axis=0)
+    pick = tier[np.newaxis]
+    return (
+        tier,
+        np.take_along_axis(local, pick, 0)[0],
+        np.take_along_axis(weights, pick, 0)[0],
+    )
+
+
+def _cell_bounds(sites: np.ndarray, half: float) -> np.ndarray:
+    """Per site, an upper bound on the distance from the site to any point
+    of its Voronoi cell inside the square [-half, half]^2.
+
+    The convex-hull sites are mirrored across the four edges: a mirrored
+    site wins no point inside the square, and every original cell closes,
+    so a site's bound is the largest circumradius of its Delaunay
+    triangles.  The distance to the farthest corner caps the bound and
+    stands in for a site left out of every triangle.
+    """
+    corner = np.hypot(half + np.abs(sites[:, 0]), half + np.abs(sites[:, 1]))
+    hull = sites[ConvexHull(sites).vertices] if len(sites) >= 3 else sites
+    flip_x, flip_y = hull * (-1.0, 1.0), hull * (1.0, -1.0)
+    pts = np.concatenate([
+        sites,
+        flip_x + (2.0 * half, 0.0), flip_x - (2.0 * half, 0.0),
+        flip_y + (0.0, 2.0 * half), flip_y - (0.0, 2.0 * half),
+    ])
+    tri = Delaunay(pts).simplices
+    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+    ab, ac = b - a, c - a
+    twice_area = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
+    with np.errstate(divide="ignore"):
+        radius = (
+            np.hypot(*ab.T) * np.hypot(*ac.T) * np.hypot(*(c - b).T)
+            / (2.0 * twice_area)
+        )
+    bound = np.zeros(len(pts))
+    np.maximum.at(bound, tri.ravel(), np.repeat(radius, 3))
+    bound = bound[: len(sites)]
+    return np.where(bound > 0.0, np.minimum(bound, corner), corner)
 
 
 @dataclass
 class Realization:
     """One Monte Carlo draw.
 
-    ``ue_*`` arrays describe the scheduled UEs (at most one per BS); the
-    tagged quantities describe the measured link at the BS nearest the
-    window centre.  ``tagged_fade`` and ``tagged_interference`` are stored
-    so the SINR identity can be re-checked exactly.
+    ``ue_*`` arrays describe the scheduled UEs, one per BS (a guard-ring
+    BS still unresolved at the round cap has none); the tagged quantities
+    describe the measured link at the BS nearest the window centre.  ``tagged_fade`` and ``tagged_interference`` are stored so the
+    SINR identity can be re-checked exactly.
     """
 
     bs_xy: np.ndarray          # (n_bs, 2) m
@@ -125,21 +160,12 @@ class Realization:
     tagged_bs: int
     tagged_tier: int
     tagged_sinr: float
-    tagged_active: bool
     tagged_fade: float
     tagged_interference: float
     tagged_ue_power: float     # W, the scheduled UE in the tagged cell
     probe_truncated: bool
-    n_ue_dropped: int
-    n_batches: int
-
-
-def _tier_slices(counts: list[int]) -> list[slice]:
-    out, start = [], 0
-    for c in counts:
-        out.append(slice(start, start + c))
-        start += c
-    return out
+    n_ue_dropped: int          # proposals queried against each tier's tree
+    n_batches: int             # proposal rounds, one query per tree each
 
 
 def build_realization(
@@ -149,20 +175,22 @@ def build_realization(
     max_batches: int = MAX_BATCHES_DEFAULT,
     tagged_rule: str = "center",
 ) -> Realization:
-    """Run the full drop/saturate/schedule/measure protocol once.
+    """Run the full draw/schedule/measure protocol once.
 
     ``tagged_tier`` restricts the measured BS to one tier; ``None`` draws
     from all tiers.  ``tagged_rule`` picks the measured BS among the
     in-window candidates: ``"center"`` takes the BS nearest the window
     centre, ``"uniform"`` a uniformly random BS (the area-unbiased typical
     BS; the centre BS's cell is slightly size-biased).
-    Raises :class:`SaturationError` when saturation is not reached within
-    ``max_batches`` UE batches, or when the window contains no usable BS.
+    Raises :class:`SaturationError` when an inner-window BS is still
+    unscheduled after ``max_batches`` proposal rounds, or when the window
+    contains no usable BS.
     """
     if tagged_rule not in ("center", "uniform"):
         raise ValueError(f"unknown tagged_rule {tagged_rule!r}")
     guard = config.effective_guard_margin()
     drop_side = config.window_side + 2.0 * guard
+    half_drop = drop_side / 2.0
     half_window = config.window_side / 2.0
 
     tier_xy = [sample_ppp(t.intensity, drop_side, rng) for t in config.tiers]
@@ -175,74 +203,63 @@ def build_realization(
         [np.full(c, k, dtype=np.intp) for k, c in enumerate(counts)]
     )
     trees = [cKDTree(p) if len(p) else None for p in tier_xy]
-    slices = _tier_slices(counts)
+    offsets = np.cumsum([0] + counts[:-1])
 
     etas = np.array([t.eta for t in config.tiers])
     rhos = np.array([t.rho_o for t in config.tiers])
-
-    def batch_associate(points: np.ndarray):
-        # weight toward the best BS of each tier, then argmin across tiers
-        m = len(points)
-        weights = np.full((config.n_tiers, m), np.inf)
-        local = np.zeros((config.n_tiers, m), dtype=np.intp)
-        for k, tree in enumerate(trees):
-            if tree is None:
-                continue
-            d, i = tree.query(points)
-            weights[k] = d ** etas[k]
-            local[k] = i
-        choice = np.argmin(weights, axis=0)
-        cols = np.arange(m)
-        w = weights[choice, cols]
-        serving = np.array([slices[k].start for k in range(config.n_tiers)])[
-            choice
-        ] + local[choice, cols]
-        required = rhos[choice] * w
-        return serving, required
 
     inner = np.max(np.abs(bs_xy), axis=1) <= half_window
     if not inner.any():
         raise SaturationError("no base station inside the inner window")
     targets = np.flatnonzero(inner)
 
-    batch_size = math.ceil(config.total_intensity * drop_side * drop_side * 10.0)
-    best_priority = np.full(n_bs, np.inf)
-    best_xy = np.zeros((n_bs, 2))
-    best_power = np.zeros(n_bs)
-    n_dropped = 0
-    saturated = False
-    n_batches = 0
-    for n_batches in range(1, max_batches + 1):
-        pts = rng.uniform(-drop_side / 2.0, drop_side / 2.0, size=(batch_size, 2))
-        n_dropped += batch_size
-        serving, required = batch_associate(pts)
-        keep = required <= config.p_max
-        if keep.any():
-            bs_i = serving[keep]
-            # uniform scheduling: each eligible UE gets an i.i.d. priority
-            # and every BS keeps its minimum-priority UE
-            prio = rng.random(keep.sum())
-            order = np.lexsort((prio, bs_i))
-            bs_sorted = bs_i[order]
-            firsts = order[np.unique(bs_sorted, return_index=True)[1]]
-            cand_bs = bs_i[firsts]
-            better = prio[firsts] < best_priority[cand_bs]
-            upd = cand_bs[better]
-            best_priority[upd] = prio[firsts][better]
-            best_xy[upd] = pts[keep][firsts][better]
-            best_power[upd] = required[keep][firsts][better]
-        if np.isfinite(best_priority[targets]).all():
-            saturated = True
-            break
-    if not saturated:
+    # a BS's eligible region lies in its reach disc and, since a BS serves
+    # no point that a same-tier BS is nearer to, in its same-tier cell
+    reach = (config.p_max / rhos) ** (1.0 / etas)
+    radius = np.concatenate([
+        np.minimum(reach[k], _cell_bounds(p, half_drop))
+        for k, p in enumerate(tier_xy) if len(p)
+    ])
+
+    ue_xy = np.zeros((n_bs, 2))
+    ue_power = np.zeros(n_bs)
+    pending = np.arange(n_bs)
+    n_points = n_rounds = 0
+    while pending.size and n_rounds < max_batches:
+        m = max(1, min(2**n_rounds, MAX_ROUND_POINTS // pending.size))
+        n_rounds += 1
+        u = rng.random((2, pending.size, m))
+        r = radius[pending, np.newaxis] * np.sqrt(u[0])
+        angle = 2.0 * math.pi * u[1]
+        pts = np.stack(
+            (bs_xy[pending, 0, np.newaxis] + r * np.cos(angle),
+             bs_xy[pending, 1, np.newaxis] + r * np.sin(angle)),
+            axis=-1,
+        ).reshape(-1, 2)
+        n_points += len(pts)
+        tier, local, weight = best_link(pts, trees, etas)
+        power = rhos[tier] * weight
+        # the reach disc implies the budget up to rounding; check it anyway
+        accept = (
+            (offsets[tier] + local == np.repeat(pending, m))
+            & (power <= config.p_max)
+            & (np.max(np.abs(pts), axis=1) <= half_drop)
+        ).reshape(pending.size, m)
+        first = np.argmax(accept, axis=1)
+        hit = accept[np.arange(pending.size), first]
+        chosen = np.flatnonzero(hit) * m + first[hit]
+        ue_xy[pending[hit]] = pts[chosen]
+        ue_power[pending[hit]] = power[chosen]
+        pending = pending[~hit]
+    if inner[pending].any():
         raise SaturationError(
-            f"saturation not reached after {max_batches} batches "
-            f"({n_dropped} UEs dropped)"
+            f"{np.count_nonzero(inner[pending])} inner-window BSs unscheduled "
+            f"after {n_rounds} rounds ({n_points} proposals)"
         )
 
-    scheduled = np.flatnonzero(np.isfinite(best_priority))
-    ue_xy = best_xy[scheduled]
-    ue_power = best_power[scheduled]
+    scheduled = np.setdiff1d(np.arange(n_bs), pending, assume_unique=True)
+    ue_xy = ue_xy[scheduled]
+    ue_power = ue_power[scheduled]
 
     if tagged_tier is None:
         candidates = targets
@@ -271,19 +288,13 @@ def build_realization(
     interference = float(np.sum(ue_power[interferers] * h * d**-eta_j))
     sinr = rho_j * fade / (config.noise + interference)
 
+    # a single (2,) point: the probe is not a proposal round
     probe = rng.uniform(-half_window, half_window, size=2)
-    w_min, k_min = math.inf, 0
-    for k, tree in enumerate(trees):
-        if tree is None:
-            continue
-        dist, _ = tree.query(probe)
-        w = float(dist) ** etas[k]
-        if w < w_min:
-            w_min, k_min = w, k
+    probe_tier, _, probe_weight = best_link(probe, trees, etas)
     # tier-specific truncation applies the tagged tier's cutoff to the
     # best-link weight, matching the analytic convention
-    probe_rho = rhos[tagged_tier] if tagged_tier is not None else rhos[k_min]
-    probe_truncated = bool(probe_rho * w_min > config.p_max)
+    probe_rho = rhos[tagged_tier if tagged_tier is not None else probe_tier]
+    probe_truncated = bool(probe_rho * probe_weight > config.p_max)
 
     tagged_pos = np.flatnonzero(scheduled == tagged)[0]
     return Realization(
@@ -295,13 +306,12 @@ def build_realization(
         tagged_bs=tagged,
         tagged_tier=tier_j,
         tagged_sinr=float(sinr),
-        tagged_active=True,
         tagged_fade=fade,
         tagged_interference=interference,
         tagged_ue_power=float(ue_power[tagged_pos]),
         probe_truncated=probe_truncated,
-        n_ue_dropped=n_dropped,
-        n_batches=n_batches,
+        n_ue_dropped=n_points,
+        n_batches=n_rounds,
     )
 
 
@@ -415,20 +425,25 @@ def estimate_metrics(
     link; the truncation outage on the per-realization probe UE.  Output
     is bitwise reproducible for a given (seed, iterations) whatever
     ``workers`` is, because every realization owns its own keyed stream
-    and the reduction runs in realization order.
+    and the reduction runs in realization order.  ``workers`` must be at
+    least 1.
     """
     if iterations < 100:
         raise ValueError(f"at least 100 iterations required, got {iterations}")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     indices = np.arange(iterations)
-    chunk_size = max(1, math.ceil(iterations / max(1, workers * 8)))
+    chunk_size = max(1, math.ceil(iterations / (workers * 8)))
     chunks = [
         (config, seed, tier, max_batches, tagged_rule, indices[i : i + chunk_size])
         for i in range(0, iterations, chunk_size)
     ]
     if workers > 1:
-        with get_context("fork").Pool(workers) as pool:
+        # the platform's default start method: fork is missing on Windows
+        # and unsafe with threads on macOS
+        with get_context().Pool(workers) as pool:
             parts = pool.map(_run_chunk, chunks)
     else:
         parts = [_run_chunk(c) for c in chunks]
@@ -438,8 +453,8 @@ def estimate_metrics(
     n_valid = int(valid.sum())
     n_discarded = iterations - n_valid
     if n_valid == 0:
-        raise SaturationError("every realization was discarded; the "
-                              "configuration cannot reach saturation")
+        raise SaturationError("every realization was discarded: an empty inner "
+                              "window or an unscheduled inner BS in each")
     outages = records[valid, 1]
     o_s = _proportion_estimate(int(outages.sum()), n_valid)
     rate = _mean_estimate(records[valid, 2])

@@ -144,9 +144,20 @@ class TestSimulate:
         ])
         assert code == 2
 
+    def test_workers_below_one_exits_2(self, small_config, tmp_path, capsys):
+        code = main([
+            "simulate", "--config", small_config, "--output",
+            str(tmp_path / "x.csv"), "--iterations", "100", "--seed", "1",
+            "--workers", "0",
+        ])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
     def test_infeasible_saturation_exits_4(self, tmp_path):
+        # 0.05 BS / km^2 leaves the 2 km inner window empty in about 82%
+        # of realizations, each of them discarded
         cfg = dict(SMALL_CONFIG)
-        cfg["tiers"] = [{"lambda_per_km2": 2.0, "rho_o_dbm": 0.0}]
+        cfg["tiers"] = [{"lambda_per_km2": 0.05, "rho_o_dbm": -70.0}]
         path = tmp_path / "hard.json"
         path.write_text(json.dumps(cfg))
         code = main([

@@ -1,25 +1,26 @@
-"""Simulation engine: PPP sampling, best-link association, the
-saturation/scheduling protocol, structural invariants of realizations,
-and estimator reproducibility.  Heavy model-vs-simulation comparisons
-live in test_acceptance.py; everything here runs on small windows."""
+"""Simulation engine: PPP sampling, the best-link kernel, per-cell
+scheduling, structural invariants of realizations, and estimator
+reproducibility.  Heavy model-vs-simulation comparisons live in
+test_acceptance.py; everything here runs on small windows."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial import cKDTree
 
+from upcell import analytic, montecarlo
 from upcell.model import NetworkConfig, TierConfig
 from upcell.montecarlo import (
     SaturationError,
-    associate,
+    best_link,
     build_realization,
     estimate_metrics,
     realization_rng,
     sample_ppp,
     wilson_interval,
 )
-from upcell import analytic
 
 
 def small_config(lambda_per_km2=20.0, rho_o_dbm=-70.0, window_km=2.0,
@@ -31,6 +32,40 @@ def small_config(lambda_per_km2=20.0, rho_o_dbm=-70.0, window_km=2.0,
         rho_min_dbm=None,
         window_km=window_km,
         guard_km=guard_km,
+    )
+
+
+def associate(ue, bs_xy, bs_tier, config):
+    """Brute-force best link of one UE against every BS: the serving BS
+    index and its required power rho_o * r^eta."""
+    r = np.hypot(bs_xy[:, 0] - ue[0], bs_xy[:, 1] - ue[1])
+    weights = r ** np.array([t.eta for t in config.tiers])[bs_tier]
+    i = int(np.argmin(weights))
+    return i, config.tiers[bs_tier[i]].rho_o * weights[i]
+
+
+def kernel(bs_xy, bs_tier, config):
+    """The simulator's best-link kernel over an explicit layout, as a
+    function of one point: (global BS index, tier, required power)."""
+    bs_xy, bs_tier = np.asarray(bs_xy, dtype=float), np.asarray(bs_tier)
+    index = [np.flatnonzero(bs_tier == k) for k in range(config.n_tiers)]
+    trees = [cKDTree(bs_xy[i]) if len(i) else None for i in index]
+    etas = np.array([t.eta for t in config.tiers])
+
+    def serve(point):
+        tier, local, weight = best_link(point, trees, etas)
+        return int(index[tier][local]), int(tier), config.tiers[tier].rho_o * weight
+
+    return serve
+
+
+def two_tier_config():
+    return NetworkConfig.from_engineering(
+        tiers=[TierConfig.from_engineering(10.0, -70.0, 0.0, 3.5),
+               TierConfig.from_engineering(10.0, -72.0, 0.0, 4.0)],
+        rho_min_dbm=None,
+        window_km=2.0,
+        guard_km=0.3,
     )
 
 
@@ -68,15 +103,16 @@ class TestSamplePpp:
 class TestAssociate:
     def test_inversion_power_at_100m(self):
         cfg = small_config()
-        res = associate((0.0, 0.0), np.array([[100.0, 0.0]]), np.array([0]), cfg)
-        assert res.required_power == pytest.approx(1e-10 * 100.0**4, rel=1e-12)
-        assert not res.truncated
+        bs, tier, power = kernel([[100.0, 0.0]], [0], cfg)((0.0, 0.0))
+        assert (bs, tier) == (0, 0)
+        assert power == pytest.approx(1e-10 * 100.0**4, rel=1e-12)
+        assert power <= cfg.p_max
 
     def test_truncated_at_400m(self):
         cfg = small_config()
-        res = associate((0.0, 0.0), np.array([[0.0, 400.0]]), np.array([0]), cfg)
-        assert res.required_power == pytest.approx(2.56, rel=1e-12)
-        assert res.truncated
+        _, _, power = kernel([[0.0, 400.0]], [0], cfg)((0.0, 0.0))
+        assert power == pytest.approx(2.56, rel=1e-12)
+        assert power > cfg.p_max
 
     def test_weighted_association_prefers_lower_exponent(self):
         # tier exponents (3, 4): BS A at 10 m with eta=3 has weight 1000,
@@ -87,19 +123,31 @@ class TestAssociate:
                    TierConfig.from_engineering(1.0, -70.0, 0.0, 4.0)],
             rho_min_dbm=None,
         )
-        res = associate(
-            (0.0, 0.0),
-            np.array([[10.0, 0.0], [6.0, 0.0]]),
-            np.array([0, 1]),
-            cfg,
-        )
-        assert res.bs_index == 0
-        assert res.tier == 0
-        assert res.required_power == pytest.approx(1e-10 * 1000.0, rel=1e-12)
+        layout = np.array([[10.0, 0.0], [6.0, 0.0]]), np.array([0, 1])
+        bs, tier, power = kernel(*layout, cfg)((0.0, 0.0))
+        assert (bs, tier) == (0, 0)
+        assert power == pytest.approx(1e-10 * 1000.0, rel=1e-12)
+        ref_bs, ref_power = associate((0.0, 0.0), *layout, cfg)
+        assert ref_bs == bs and ref_power == pytest.approx(power, rel=1e-12)
+
+    def test_kernel_matches_brute_force_on_a_batch(self):
+        cfg = two_tier_config()
+        rng = np.random.default_rng(4)
+        bs_xy = rng.uniform(-500.0, 500.0, size=(40, 2))
+        bs_tier = rng.integers(2, size=40)
+        index = [np.flatnonzero(bs_tier == k) for k in range(2)]
+        trees = [cKDTree(bs_xy[i]) for i in index]
+        etas = np.array([t.eta for t in cfg.tiers])
+        points = rng.uniform(-600.0, 600.0, size=(300, 2))
+        tier, local, weight = best_link(points, trees, etas)
+        for p, k, i, w in zip(points, tier, local, weight):
+            bs, power = associate(p, bs_xy, bs_tier, cfg)
+            assert index[k][i] == bs
+            assert cfg.tiers[k].rho_o * w == pytest.approx(power, rel=1e-12)
 
     def test_empty_layout_rejected(self):
         with pytest.raises(ValueError):
-            associate((0.0, 0.0), np.empty((0, 2)), np.empty(0), small_config())
+            best_link(np.zeros(2), [None], np.array([4.0]))
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +176,15 @@ class TestRealizationInvariants:
     def test_serving_bs_is_best_link(self, realization):
         cfg, r = realization
         for i in range(0, len(r.ue_xy), 7):
-            res = associate(r.ue_xy[i], r.bs_xy, r.bs_tier, cfg)
-            assert res.bs_index == r.ue_bs[i]
+            assert associate(r.ue_xy[i], r.bs_xy, r.bs_tier, cfg)[0] == r.ue_bs[i]
+
+    def test_every_bs_scheduled_guard_ring_included(self, realization):
+        cfg, r = realization
+        inner = np.max(np.abs(r.bs_xy), axis=1) <= cfg.window_side / 2.0
+        assert (~inner).any()
+        np.testing.assert_array_equal(r.ue_bs, np.arange(len(r.bs_xy)))
+        half_drop = cfg.window_side / 2.0 + cfg.effective_guard_margin()
+        assert (np.abs(r.ue_xy) <= half_drop).all()
 
     def test_exclusion_at_tagged_bs(self, realization):
         # every interferer is received below the (common) cutoff
@@ -170,18 +225,11 @@ class TestSingleBaseStation:
         assert r.tagged_sinr == 1e-10 * r.tagged_fade / cfg.noise
 
     def test_weighted_two_tier_realization(self):
-        cfg = NetworkConfig.from_engineering(
-            tiers=[TierConfig.from_engineering(10.0, -70.0, 0.0, 3.5),
-                   TierConfig.from_engineering(10.0, -72.0, 0.0, 4.0)],
-            rho_min_dbm=None,
-            window_km=2.0,
-            guard_km=0.3,
-        )
+        cfg = two_tier_config()
         r = build_realization(cfg, realization_rng(3, 5))
         # every scheduled UE won its weighted association
         for i in range(0, len(r.ue_xy), 5):
-            res = associate(r.ue_xy[i], r.bs_xy, r.bs_tier, cfg)
-            assert res.bs_index == r.ue_bs[i]
+            assert associate(r.ue_xy[i], r.bs_xy, r.bs_tier, cfg)[0] == r.ue_bs[i]
         # interferers are received below their own tier's cutoff
         mask = r.ue_bs != r.tagged_bs
         eta_j = cfg.tiers[r.tagged_tier].eta
@@ -192,21 +240,112 @@ class TestSingleBaseStation:
 
 
 class TestSaturation:
+    # every BS has eligible area around it, so a realization fails only
+    # through the round cap or an empty inner window: one proposal round
+    # cannot schedule all of the ~80 inner BSs of the small window
+
     def test_infeasible_cutoff_raises(self):
-        # rho_o = 0 dBm shrinks the eligible disk to ~5.6 m; the batch cap
-        # is reached long before every cell is hit
-        cfg = small_config(rho_o_dbm=0.0, lambda_per_km2=2.0)
         with pytest.raises(SaturationError):
-            build_realization(cfg, realization_rng(0, 0))
+            build_realization(small_config(), realization_rng(0, 0), max_batches=1)
 
     def test_all_discarded_raises(self):
-        cfg = small_config(rho_o_dbm=0.0, lambda_per_km2=2.0)
         with pytest.raises(SaturationError):
-            estimate_metrics(cfg, 100, seed=0)
+            estimate_metrics(small_config(), 100, seed=0, max_batches=1)
+
+    def test_empty_inner_window_raises(self):
+        cfg = small_config(lambda_per_km2=0.05)
+        seed = next(s for s in range(100) if realization_rng(s, 0).poisson(
+            0.05e-6 * 3000.0**2) == 0)
+        with pytest.raises(SaturationError):
+            build_realization(cfg, realization_rng(seed, 0))
+
+    def test_tiny_eligible_disc_is_scheduled(self):
+        # rho_o = 0 dBm leaves a 5.6 m eligible disc around every BS
+        cfg = small_config(rho_o_dbm=0.0, lambda_per_km2=2.0)
+        reach = (cfg.p_max / cfg.tiers[0].rho_o) ** 0.25
+        for i in range(5):
+            r = build_realization(cfg, realization_rng(0, i))
+            np.testing.assert_array_equal(r.ue_bs, np.arange(len(r.bs_xy)))
+            d = np.hypot(*(r.ue_xy - r.bs_xy[r.ue_bs]).T)
+            assert (d <= reach).all() and reach < 5.7
 
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
             estimate_metrics(small_config(), 50, seed=0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            estimate_metrics(small_config(), 100, seed=0, workers=workers)
+
+
+class TestScheduler:
+    def test_cell_bounds_cover_every_cell(self):
+        # every point of the square lies within its nearest site's bound
+        rng = np.random.default_rng(5)
+        half = 1000.0
+        points = rng.uniform(-half, half, size=(20000, 2))
+        corners = np.array([[s * half, t * half] for s in (-1, 1) for t in (-1, 1)])
+        points = np.concatenate([points, corners])
+        for n in (1, 2, 3, 8, 200):
+            sites = rng.uniform(-half, half, size=(n, 2))
+            bound = montecarlo._cell_bounds(sites, half)
+            d, nearest = cKDTree(sites).query(points)
+            assert (d <= bound[nearest] * (1 + 1e-12)).all()
+            assert (bound <= np.hypot(half + np.abs(sites[:, 0]),
+                                      half + np.abs(sites[:, 1]))).all()
+
+    def test_ue_uniform_over_clipped_eligible_region(self, monkeypatch):
+        # two BSs 200 m apart with a 316 m reach: each eligible region is
+        # the reach disc cut by the bisector, so the UE's offset x along
+        # the BS axis has cdf A(x) / A(100) with A(x) the disc area left of x
+        cfg = small_config()
+        reach = (cfg.p_max / cfg.tiers[0].rho_o) ** 0.25
+        layout = np.array([[-100.0, 0.0], [100.0, 0.0]])
+        monkeypatch.setattr(montecarlo, "sample_ppp", lambda *args: layout)
+        offsets = []
+        for i in range(400):
+            r = build_realization(cfg, realization_rng(21, i))
+            offsets += [r.ue_xy[0, 0] + 100.0, 100.0 - r.ue_xy[1, 0]]
+
+        def area_left(x):
+            x = np.clip(x, -reach, reach)
+            return reach**2 * np.arccos(-x / reach) + x * np.sqrt(reach**2 - x**2)
+
+        result = stats.kstest(offsets, lambda x: area_left(x) / area_left(100.0))
+        assert result.pvalue > 0.01
+
+    def test_isolated_ue_radius_uniform_in_area(self):
+        # rho_o = 0 dBm: a BS with no other BS within twice the 5.6 m reach
+        # has the whole reach disc as eligible region, so r^2 / reach^2 is
+        # uniform
+        cfg = small_config(rho_o_dbm=0.0)
+        reach = (cfg.p_max / cfg.tiers[0].rho_o) ** 0.25
+        u = []
+        for i in range(4):
+            r = build_realization(cfg, realization_rng(8, i))
+            d, _ = cKDTree(r.bs_xy).query(r.bs_xy, k=2)
+            isolated = d[:, 1] > 2.0 * reach
+            rel = r.ue_xy[isolated] - r.bs_xy[r.ue_bs[isolated]]
+            u.extend(np.sum(rel**2, axis=1) / reach**2)
+        assert len(u) > 500
+        assert stats.kstest(u, "uniform").pvalue > 0.01
+
+    # lambda = 1 / km^2: realizations with 2, 1, 2 and 3 BSs
+    @pytest.mark.parametrize("lambda_per_km2, indices",
+                             [(1.0, (0, 1, 3, 10)), (20.0, (0, 1, 2))])
+    def test_unbounded_budget_realization(self, lambda_per_km2, indices):
+        # p_max = inf has no reach disc: proposals come from the cell
+        # bound alone, mirror sites included
+        cfg = small_config(lambda_per_km2=lambda_per_km2, window_km=1.0,
+                           guard_km=0.2, p_max=math.inf)
+        for i in indices:
+            r = build_realization(cfg, realization_rng(13, i))
+            np.testing.assert_array_equal(r.ue_bs, np.arange(len(r.bs_xy)))
+            assert (np.abs(r.ue_xy) <= 700.0).all()
+            for ue, bs in zip(r.ue_xy, r.ue_bs):
+                assert associate(ue, r.bs_xy, r.bs_tier, cfg)[0] == bs
+            assert not r.probe_truncated
 
 
 class TestReproducibility:
