@@ -21,24 +21,26 @@ ITERATIONS = 2000
 SEED = 42
 WINDOW_KM = 8.0
 
-print(f"{'rho_o':>7} {'O_p sim':>9} {'O_p model':>10} "
-      f"{'O_s sim':>9} {'O_s model':>10} {'time':>6}")
-for rho in (-85.0, -75.0, -65.0):
-    cfg = NetworkConfig.from_engineering(
-        tiers=[TierConfig.from_engineering(5.0, rho)],
-        p_max_watts=1.0,
-        noise_dbm=-90.0,
-        rho_min_dbm=None,
-        window_km=WINDOW_KM,
-    )
-    t0 = time.time()
-    sim = estimate_metrics(cfg, ITERATIONS, seed=SEED, workers=2)
-    print(f"{rho:7.0f} "
-          f"{sim.truncation_outage.mean:9.4f} "
-          f"{analytic.truncation_outage(cfg, 0):10.4f} "
-          f"{sim.sinr_outage.mean:9.4f} "
-          f"{analytic.sinr_outage(cfg, 0):10.4f} "
-          f"{time.time() - t0:5.0f}s")
+# worker processes re-import this file where they start by spawning
+if __name__ == "__main__":
+    print(f"{'rho_o':>7} {'O_p sim':>9} {'O_p model':>10} "
+          f"{'O_s sim':>9} {'O_s model':>10} {'time':>6}")
+    for rho in (-85.0, -75.0, -65.0):
+        cfg = NetworkConfig.from_engineering(
+            tiers=[TierConfig.from_engineering(5.0, rho)],
+            p_max_watts=1.0,
+            noise_dbm=-90.0,
+            rho_min_dbm=None,
+            window_km=WINDOW_KM,
+        )
+        t0 = time.time()
+        sim = estimate_metrics(cfg, ITERATIONS, seed=SEED, workers=2)
+        print(f"{rho:7.0f} "
+              f"{sim.truncation_outage.mean:9.4f} "
+              f"{analytic.truncation_outage(cfg, 0):10.4f} "
+              f"{sim.sinr_outage.mean:9.4f} "
+              f"{analytic.sinr_outage(cfg, 0):10.4f} "
+              f"{time.time() - t0:5.0f}s")
 
-print("\n95% half-widths shrink like 1/sqrt(iterations); the residual "
-      "O_s gap reflects the independent-interferer approximation.")
+    print("\n95% half-widths shrink like 1/sqrt(iterations); the residual "
+          "O_s gap reflects the independent-interferer approximation.")

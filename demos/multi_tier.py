@@ -56,7 +56,6 @@ distinct = NetworkConfig.from_engineering(
 )
 print("\ndistinct exponents (3.2 / 4.0):")
 for j in (0, 1):
-    dist = analytic.TxPowerDistribution(distinct, j)
     r = analytic.full_report(distinct, j)
-    print(f"  tier {j}: kind={dist.kind}, E[P]={r.mean_tx_power:.4f} W, "
+    print(f"  tier {j}: E[P]={r.mean_tx_power:.4f} W, "
           f"O_t={r.total_outage:.4f}, R={r.spectral_efficiency:.3f} nats")

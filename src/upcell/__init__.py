@@ -15,9 +15,7 @@ from .model import (
     watts_to_dbm,
 )
 from .specfun import (
-    DEFAULT_QUADRATURE,
     QuadratureError,
-    QuadratureSpec,
     integrate_semi_infinite,
     lower_incomplete_gamma,
     tail_interference_integral,
@@ -53,9 +51,7 @@ __all__ = [
     "watts_to_dbm",
     "network_from_mapping",
     "validate",
-    "QuadratureSpec",
     "QuadratureError",
-    "DEFAULT_QUADRATURE",
     "lower_incomplete_gamma",
     "tail_interference_integral",
     "integrate_semi_infinite",

@@ -21,13 +21,10 @@ Networks whose tiers share one path-loss exponent use the closed-form
 the mixture density, whose moments are integrated numerically over the
 log-power.
 
-The tail integral is evaluated in closed form for every eta (``method=
-"auto"``): arctan at ``eta == 4``, Gauss hypergeometric otherwise.  Every
-metric can be forced through the arctan form (``"closed_form"``, eta = 4
-only) or through adaptive quadrature of J (``"quadrature"``) to
-cross-check the closed forms.  ``p_max = inf`` is honoured exactly
-(the truncation terms vanish and the gamma factors become complete), not
-approximated by a large number.
+The tail integral J is evaluated in closed form for every eta (arctan at
+``eta == 4``, Gauss hypergeometric otherwise).  ``p_max = inf`` is
+honoured exactly (the truncation terms vanish and the gamma factors
+become complete), not approximated by a large number.
 
 All functions are pure and reentrant; concurrent evaluation over
 parameter sweeps is safe.
@@ -40,8 +37,6 @@ from functools import lru_cache
 
 from .model import MetricsReport, NetworkConfig
 from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     integrate_interval,
     integrate_semi_infinite,
     lower_incomplete_gamma,
@@ -60,34 +55,18 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-def _resolve_kind(config: NetworkConfig, kind: str) -> str:
-    if kind == "auto":
-        return "common" if config.common_exponent() else "mixture"
-    if kind == "common":
-        if not config.common_exponent():
-            raise ValueError(
-                "closed-form power statistics require a common path-loss exponent"
-            )
-        return kind
-    if kind == "mixture":
-        return kind
-    raise ValueError(f"unknown power-distribution kind {kind!r}")
-
-
 class TxPowerDistribution:
     """Transmit-power law of a generic active UE served by tier ``j``.
 
-    ``kind`` selects the evaluation route: ``"common"`` (all tiers share
-    one exponent; incomplete-gamma closed forms), ``"mixture"`` (the
-    general weighted-association density; numeric moments), or ``"auto"``.
     The density lives on [0, p_max] and is normalized by the probability
-    of not being in truncation outage.
+    of not being in truncation outage.  Its moments use the
+    incomplete-gamma closed form when all tiers share one exponent and
+    are integrated over the mixture density otherwise.
     """
 
-    def __init__(self, config: NetworkConfig, tier: int, kind: str = "auto"):
+    def __init__(self, config: NetworkConfig, tier: int):
         self.config = config
         self.tier = tier
-        self.kind = _resolve_kind(config, kind)
         self._rho = config.tiers[tier].rho_o
 
     def _truncation_exponent(self, x: float) -> float:
@@ -131,37 +110,41 @@ class TxPowerDistribution:
         """Fractional moment E[P^alpha], alpha > 0."""
         if not alpha > 0:
             raise ValueError(f"moment order must be positive, got {alpha}")
-        return _fractional_moment(self.config, self.tier, alpha, self.kind)
+        return _fractional_moment(self.config, self.tier, alpha)
 
 
 @lru_cache(maxsize=4096)
-def _fractional_moment(
-    config: NetworkConfig,
-    tier: int,
-    alpha: float,
-    kind: str,
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def _fractional_moment(config: NetworkConfig, tier: int, alpha: float) -> float:
     """E[P_tier^alpha]; cached because the 2/eta moment of every tier is
     reused across the Laplace-transform factors of a report."""
+    if config.common_exponent():
+        return _common_moment(config, tier, alpha)
+    return _mixture_moment(config, tier, alpha)
+
+
+def _common_moment(config: NetworkConfig, tier: int, alpha: float) -> float:
+    # all tiers share eta: an incomplete-gamma closed form
     t = config.tiers[tier]
-    if kind == "common":
-        eta = t.eta
-        lam_total = config.total_intensity
-        b = math.pi * lam_total * (config.p_max / t.rho_o) ** (2.0 / eta)
-        a = alpha * eta / 2.0 + 1.0
-        return (
-            t.rho_o**alpha
-            * lower_incomplete_gamma(a, b)
-            / ((math.pi * lam_total) ** (alpha * eta / 2.0) * -math.expm1(-b))
-        )
-    # Mixture: in u = ln x, x^alpha f(x) dx is
+    eta = t.eta
+    lam_total = config.total_intensity
+    b = math.pi * lam_total * (config.p_max / t.rho_o) ** (2.0 / eta)
+    a = alpha * eta / 2.0 + 1.0
+    return (
+        t.rho_o**alpha
+        * lower_incomplete_gamma(a, b)
+        / ((math.pi * lam_total) ** (alpha * eta / 2.0) * -math.expm1(-b))
+    )
+
+
+def _mixture_moment(config: NetworkConfig, tier: int, alpha: float) -> float:
+    # In u = ln x, x^alpha f(x) dx is
     #   x^alpha sum_k (2/eta_k) w_k exp(-sum_k w_k) du / norm
     # with the per-tier void exponents w_k = pi lambda_k (x/rho_o)^(2/eta_k)
     # = exp((2/eta_k)(u - u_k)): a smooth bump, where in x the mass sits
     # in a spike that can be orders of magnitude narrower than [0, P_u].
     # The range splits at the log-power where the smallest w_k reaches 1,
     # and the integrand is scaled by exp(-alpha * split) to be O(1).
+    t = config.tiers[tier]
     log_rho = math.log(t.rho_o)
     terms = [
         (2.0 / k.eta, log_rho - 0.5 * k.eta * math.log(math.pi * k.intensity))
@@ -178,12 +161,12 @@ def _fractional_moment(
         density = sum(c * wk for (c, _), wk in zip(terms, w))
         return math.exp(alpha * v - sum(w)) * density
 
-    total = integrate_semi_infinite(lambda v: bump(-v), 0.0, quadrature)
+    total = integrate_semi_infinite(lambda v: bump(-v), 0.0)
     if math.isinf(log_p_max):
-        total += integrate_semi_infinite(bump, 0.0, quadrature)
+        total += integrate_semi_infinite(bump, 0.0)
     elif log_p_max > split:
-        total += integrate_interval(bump, 0.0, log_p_max - split, quadrature)
-    norm = TxPowerDistribution(config, tier, kind="mixture")._norm
+        total += integrate_interval(bump, 0.0, log_p_max - split)
+    norm = TxPowerDistribution(config, tier)._norm
     return math.exp(alpha * split) * total / norm
 
 
@@ -201,15 +184,10 @@ def truncation_outage(config: NetworkConfig, tier: int) -> float:
     return math.exp(-exponent)
 
 
-def _moments_2_over_eta(
-    config: NetworkConfig, observing_tier: int, power_kind: str,
-    quadrature: QuadratureSpec,
-) -> list[float]:
-    kind = _resolve_kind(config, power_kind)
+def _moments_2_over_eta(config: NetworkConfig, observing_tier: int) -> list[float]:
     eta_j = config.tiers[observing_tier].eta
     return [
-        _fractional_moment(config, k, 2.0 / eta_j, kind, quadrature)
-        for k in range(config.n_tiers)
+        _fractional_moment(config, k, 2.0 / eta_j) for k in range(config.n_tiers)
     ]
 
 
@@ -219,25 +197,16 @@ def _interference_exponent_one(
     source_tier: int,
     s: float,
     moment: float,
-    method: str,
-    quadrature: QuadratureSpec,
 ) -> float:
     eta_j = config.tiers[observing_tier].eta
     src = config.tiers[source_tier]
     lower = (s * src.rho_o) ** (-1.0 / eta_j)
-    tail = tail_interference_integral(eta_j, lower, quadrature, method)
+    tail = tail_interference_integral(eta_j, lower)
     return _TWO_PI * src.intensity * s ** (2.0 / eta_j) * moment * tail
 
 
 def interference_laplace(
-    config: NetworkConfig,
-    observing_tier: int,
-    source_tier: int,
-    s: float,
-    *,
-    method: str = "auto",
-    power_kind: str = "auto",
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
+    config: NetworkConfig, observing_tier: int, source_tier: int, s: float
 ) -> float:
     """Laplace transform of the aggregate interference produced at a tagged
     BS of ``observing_tier`` by the active UEs of ``source_tier``:
@@ -251,13 +220,9 @@ def interference_laplace(
     """
     if not s > 0:
         raise ValueError(f"transform argument must be positive, got {s}")
-    moment = _moments_2_over_eta(config, observing_tier, power_kind, quadrature)[
-        source_tier
-    ]
+    moment = _moments_2_over_eta(config, observing_tier)[source_tier]
     return math.exp(
-        -_interference_exponent_one(
-            config, observing_tier, source_tier, s, moment, method, quadrature
-        )
+        -_interference_exponent_one(config, observing_tier, source_tier, s, moment)
     )
 
 
@@ -267,91 +232,65 @@ def _outage_exponent(
     s: float,
     noise_term: float,
     moments: list[float],
-    method: str,
-    quadrature: QuadratureSpec,
 ) -> float:
     total = noise_term
     for k in range(config.n_tiers):
-        total += _interference_exponent_one(
-            config, tier, k, s, moments[k], method, quadrature
-        )
+        total += _interference_exponent_one(config, tier, k, s, moments[k])
     return total
 
 
-def sinr_outage(
-    config: NetworkConfig,
-    tier: int,
-    *,
-    method: str = "auto",
-    power_kind: str = "auto",
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def sinr_outage(config: NetworkConfig, tier: int) -> float:
     """SINR outage probability for an active UE in ``tier``:
     1 - exp(-theta sigma^2/rho_o) * prod_k LT_k(theta/rho_o).
-
-    ``method="auto"`` evaluates the tail integral in closed form (arctan
-    at eta = 4, hypergeometric otherwise); ``"closed_form"`` forces the
-    arctan tail (eta must equal 4); ``"quadrature"`` integrates the tail
-    adaptively, as a cross-check.
     """
     t = config.tiers[tier]
     s = t.theta / t.rho_o
-    moments = _moments_2_over_eta(config, tier, power_kind, quadrature)
+    moments = _moments_2_over_eta(config, tier)
     exponent = _outage_exponent(
-        config, tier, s, t.theta * config.noise / t.rho_o, moments, method, quadrature
+        config, tier, s, t.theta * config.noise / t.rho_o, moments
     )
     return -math.expm1(-exponent)
 
 
-def spectral_efficiency(
-    config: NetworkConfig,
-    tier: int,
-    *,
-    method: str = "auto",
-    power_kind: str = "auto",
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def spectral_efficiency(config: NetworkConfig, tier: int) -> float:
     """Mean spectral efficiency E[ln(1 + SINR)] (nats/s/Hz) of an active UE
     in ``tier``, by integrating the SINR survival function:
 
         int_0^inf exp(-x sigma^2/rho_o) prod_k LT_k(x/rho_o) / (x + 1) dx.
 
-    The integrand decays at least like exp(-c x^(2/eta)), so the
-    semi-infinite adaptive rule converges without manual truncation.
+    The integrand decays at least like exp(-const x^(2/eta)), so the
+    semi-infinite adaptive rule converges without manual truncation.  It
+    is integrated in u = c x with c = max(1, kappa), kappa the slope of
+    the outage exponent at x = 0: at low cutoffs the survival function
+    has decayed by x ~ 1/kappa << 1, a scale the rule would not resolve.
     """
     t = config.tiers[tier]
     rho, noise = t.rho_o, config.noise
-    moments = _moments_2_over_eta(config, tier, power_kind, quadrature)
+    moments = _moments_2_over_eta(config, tier)
+    # each tier's slope from J(eta, a) ~ a^(2-eta)/(eta-2) as a -> inf
+    kappa = noise / rho + sum(
+        _TWO_PI * src.intensity * m * src.rho_o ** (1.0 - 2.0 / t.eta)
+        / ((t.eta - 2.0) * rho)
+        for src, m in zip(config.tiers, moments)
+    )
+    c = max(1.0, kappa)
 
-    def integrand(x: float) -> float:
-        if x <= 0.0:
-            return 1.0
-        exponent = _outage_exponent(
-            config, tier, x / rho, x * noise / rho, moments, method, quadrature
-        )
-        return math.exp(-exponent) / (x + 1.0)
+    def integrand(u: float) -> float:
+        if u <= 0.0:
+            return 1.0 / c
+        x = u / c
+        exponent = _outage_exponent(config, tier, x / rho, x * noise / rho, moments)
+        return math.exp(-exponent) / (c + u)
 
-    return integrate_semi_infinite(integrand, 0.0, quadrature)
+    return integrate_semi_infinite(integrand, 0.0)
 
 
-def full_report(
-    config: NetworkConfig,
-    tier: int,
-    *,
-    method: str = "auto",
-    power_kind: str = "auto",
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> MetricsReport:
+def full_report(config: NetworkConfig, tier: int) -> MetricsReport:
     """All six metrics for ``tier``; the total-outage and effective-rate
     identities hold exactly by construction."""
-    dist = TxPowerDistribution(config, tier, kind=power_kind)
     return MetricsReport.from_components(
         truncation_outage=truncation_outage(config, tier),
-        sinr_outage=sinr_outage(
-            config, tier, method=method, power_kind=power_kind, quadrature=quadrature
-        ),
-        spectral_efficiency=spectral_efficiency(
-            config, tier, method=method, power_kind=power_kind, quadrature=quadrature
-        ),
-        mean_tx_power=dist.moment(1.0),
+        sinr_outage=sinr_outage(config, tier),
+        spectral_efficiency=spectral_efficiency(config, tier),
+        mean_tx_power=_fractional_moment(config, tier, 1.0),
     )

@@ -38,6 +38,7 @@ from .model import (
     NetworkConfig,
     dbm_to_watts,
     network_from_mapping,
+    watts_to_dbm,
 )
 from .montecarlo import (
     SaturationError,
@@ -107,12 +108,10 @@ def _write_manifest(
 
 def _tier_context(config: NetworkConfig, j: int) -> list:
     t = config.tiers[j]
-    noise_dbm = (
-        10.0 * math.log10(config.noise) + 30.0 if config.noise > 0 else -math.inf
-    )
+    noise_dbm = watts_to_dbm(config.noise) if config.noise > 0 else -math.inf
     return [
         j,
-        10.0 * math.log10(t.rho_o) + 30.0,
+        watts_to_dbm(t.rho_o),
         t.intensity * 1e6,
         t.eta,
         10.0 * math.log10(t.theta),
@@ -169,9 +168,8 @@ def _simulation_row(config: NetworkConfig, j: int, sim: SimulationReport) -> lis
 
 def cmd_simulate(args) -> int:
     config, digest = _load_config(args.config)
-    tier = args.tier if args.tier is not None else 0
     sim = estimate_metrics(
-        config, args.iterations, args.seed, tier=tier, workers=args.workers
+        config, args.iterations, args.seed, tier=args.tier, workers=args.workers
     )
     if sim.n_discarded > args.iterations / 2:
         print(
@@ -183,7 +181,7 @@ def cmd_simulate(args) -> int:
     _write_csv(
         args.output,
         BASE_COLUMNS + CI_COLUMNS + ["n_discarded"],
-        [_simulation_row(config, tier, sim)],
+        [_simulation_row(config, args.tier, sim)],
     )
     _write_manifest(args.output, "simulate", digest, args.seed, args.iterations)
     print(
@@ -201,10 +199,9 @@ def _wilson_contains(value: float, mean: float, n: int) -> bool:
 
 def cmd_validate(args) -> int:
     config, digest = _load_config(args.config)
-    tier = args.tier if args.tier is not None else 0
-    report = analytic.full_report(config, tier)
+    report = analytic.full_report(config, args.tier)
     sim = estimate_metrics(
-        config, args.iterations, args.seed, tier=tier, workers=args.workers
+        config, args.iterations, args.seed, tier=args.tier, workers=args.workers
     )
     if sim.n_discarded > args.iterations / 2:
         print("validate: too many discarded realizations", file=sys.stderr)
@@ -280,30 +277,28 @@ def _write_grid(args, digest: str, config: NetworkConfig, tier: int, result,
 
 def cmd_sweep(args) -> int:
     config, digest = _load_config(args.config)
-    tier = args.tier if args.tier is not None else 0
     result = optimize.sweep(
-        config, tier, (args.grid_from, args.grid_to, args.steps), args.objective
+        config, args.tier, (args.grid_from, args.grid_to, args.steps), args.objective
     )
-    return _write_grid(args, digest, config, tier, result,
+    return _write_grid(args, digest, config, args.tier, result,
                        result.argopt, result.opt_value, result.opt_report)
 
 
 def cmd_optimize(args) -> int:
     config, digest = _load_config(args.config)
-    tier = args.tier if args.tier is not None else 0
     result = optimize.sweep(
-        config, tier, (args.grid_from, args.grid_to, args.steps), args.objective
+        config, args.tier, (args.grid_from, args.grid_to, args.steps), args.objective
     )
     spacing = (args.grid_to - args.grid_from) / (args.steps - 1)
     lo = max(args.grid_from, result.argopt - spacing)
     hi = min(args.grid_to, result.argopt + spacing)
     rho_star, value = optimize.refine_optimum(
-        config, tier, args.objective, (lo, hi), tol=args.tol_db
+        config, args.tier, args.objective, (lo, hi), tol=args.tol_db
     )
     report = analytic.full_report(
-        config.with_tier_rho_o(tier, dbm_to_watts(rho_star)), tier
+        config.with_tier_rho_o(args.tier, dbm_to_watts(rho_star)), args.tier
     )
-    return _write_grid(args, digest, config, tier, result, rho_star, value, report)
+    return _write_grid(args, digest, config, args.tier, result, rho_star, value, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, sim=False, grid=False):
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--tier", type=int, default=None,
+        p.add_argument("--tier", type=int, default=0,
                        help="tier index (default 0; analyze defaults to all)")
         p.add_argument("--output", required=True, help="CSV output path")
         if sim:
@@ -333,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--objective", default="total_outage",
                            choices=sorted(optimize.OBJECTIVES))
 
-    common(sub.add_parser("analyze", help="analytic metrics per tier"))
+    p_analyze = sub.add_parser("analyze", help="analytic metrics per tier")
+    common(p_analyze)
+    p_analyze.set_defaults(tier=None)
     common(sub.add_parser("simulate", help="Monte Carlo estimates"), sim=True)
     common(sub.add_parser("validate", help="analytic vs simulation"), sim=True)
     common(sub.add_parser("sweep", help="objective over a rho_o grid"), grid=True)

@@ -101,9 +101,6 @@ class NetworkConfig:
     def n_tiers(self) -> int:
         return len(self.tiers)
 
-    def tier(self, j: int) -> TierConfig:
-        return self.tiers[j]
-
     def common_exponent(self) -> bool:
         """True when every tier shares one path-loss exponent."""
         return len({t.eta for t in self.tiers}) <= 1

@@ -173,21 +173,16 @@ def build_realization(
     rng: np.random.Generator,
     tagged_tier: int | None = None,
     max_batches: int = MAX_BATCHES_DEFAULT,
-    tagged_rule: str = "center",
 ) -> Realization:
     """Run the full draw/schedule/measure protocol once.
 
-    ``tagged_tier`` restricts the measured BS to one tier; ``None`` draws
-    from all tiers.  ``tagged_rule`` picks the measured BS among the
-    in-window candidates: ``"center"`` takes the BS nearest the window
-    centre, ``"uniform"`` a uniformly random BS (the area-unbiased typical
-    BS; the centre BS's cell is slightly size-biased).
+    The measured BS is the inner-window BS nearest the window centre;
+    ``tagged_tier`` restricts it to one tier, ``None`` draws from all
+    tiers.
     Raises :class:`SaturationError` when an inner-window BS is still
     unscheduled after ``max_batches`` proposal rounds, or when the window
     contains no usable BS.
     """
-    if tagged_rule not in ("center", "uniform"):
-        raise ValueError(f"unknown tagged_rule {tagged_rule!r}")
     guard = config.effective_guard_margin()
     drop_side = config.window_side + 2.0 * guard
     half_drop = drop_side / 2.0
@@ -269,11 +264,8 @@ def build_realization(
             raise SaturationError(
                 f"no tier-{tagged_tier} base station inside the inner window"
             )
-    if tagged_rule == "uniform":
-        tagged = int(candidates[rng.integers(candidates.size)])
-    else:
-        centre_dist = np.hypot(bs_xy[candidates, 0], bs_xy[candidates, 1])
-        tagged = int(candidates[np.argmin(centre_dist)])
+    centre_dist = np.hypot(bs_xy[candidates, 0], bs_xy[candidates, 1])
+    tagged = int(candidates[np.argmin(centre_dist)])
     tier_j = int(bs_tier[tagged])
     eta_j = config.tiers[tier_j].eta
     rho_j = config.tiers[tier_j].rho_o
@@ -388,12 +380,12 @@ class SimulationReport:
 
 
 def _run_chunk(args) -> np.ndarray:
-    config, seed, tagged_tier, max_batches, tagged_rule, indices = args
+    config, seed, tagged_tier, max_batches, indices = args
     out = np.empty((len(indices), 5))
     for row, i in enumerate(indices):
         rng = realization_rng(seed, i)
         try:
-            r = build_realization(config, rng, tagged_tier, max_batches, tagged_rule)
+            r = build_realization(config, rng, tagged_tier, max_batches)
         except SaturationError:
             out[row] = (0.0, np.nan, np.nan, np.nan, np.nan)
             continue
@@ -416,7 +408,6 @@ def estimate_metrics(
     tier: int | None = None,
     workers: int = 1,
     max_batches: int = MAX_BATCHES_DEFAULT,
-    tagged_rule: str = "center",
 ) -> SimulationReport:
     """Estimate the uplink metrics from ``iterations`` independent
     realizations.
@@ -437,7 +428,7 @@ def estimate_metrics(
     indices = np.arange(iterations)
     chunk_size = max(1, math.ceil(iterations / (workers * 8)))
     chunks = [
-        (config, seed, tier, max_batches, tagged_rule, indices[i : i + chunk_size])
+        (config, seed, tier, max_batches, indices[i : i + chunk_size])
         for i in range(0, iterations, chunk_size)
     ]
     if workers > 1:

@@ -32,34 +32,31 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PLATEAU_TOL = 1e-12
 
 
-def objective_value(
-    config: NetworkConfig, tier: int, objective: str, method: str = "auto"
-) -> float:
-    """Evaluate one objective without computing the metrics it does not
-    need (the rate integral dominates the cost of a full report)."""
-    o_p = analytic.truncation_outage(config, tier)
-    if objective == "total_outage":
-        o_s = analytic.sinr_outage(config, tier, method=method)
-        return o_p + (1.0 - o_p) * o_s
-    if objective == "effective_rate":
-        rate = analytic.spectral_efficiency(config, tier, method=method)
-        return (1.0 - o_p) * rate
-    raise ValueError(
-        f"unknown objective {objective!r}; expected one of {sorted(OBJECTIVES)}"
-    )
-
-
-def _objective_fn(config: NetworkConfig, tier: int, objective: str, method: str):
-    if objective not in OBJECTIVES:
+def _lookup(objective: str) -> tuple:
+    try:
+        return OBJECTIVES[objective]
+    except KeyError:
         raise ValueError(
             f"unknown objective {objective!r}; expected one of {sorted(OBJECTIVES)}"
-        )
-    sign = -1.0 if OBJECTIVES[objective][1] else 1.0
+        ) from None
+
+
+def objective_value(config: NetworkConfig, tier: int, objective: str) -> float:
+    """Evaluate one objective without computing the metrics it does not
+    need (the rate integral dominates the cost of a full report)."""
+    _lookup(objective)
+    o_p = analytic.truncation_outage(config, tier)
+    if objective == "total_outage":
+        return o_p + (1.0 - o_p) * analytic.sinr_outage(config, tier)
+    return (1.0 - o_p) * analytic.spectral_efficiency(config, tier)
+
+
+def _objective_fn(config: NetworkConfig, tier: int, objective: str):
+    sign = -1.0 if _lookup(objective)[1] else 1.0
 
     def fn(rho_dbm: float) -> float:
         return sign * objective_value(
-            config.with_tier_rho_o(tier, dbm_to_watts(rho_dbm)), tier, objective,
-            method,
+            config.with_tier_rho_o(tier, dbm_to_watts(rho_dbm)), tier, objective
         )
 
     return fn, sign
@@ -71,10 +68,9 @@ class SweepResult:
 
     ``reports[i]`` is None when evaluation failed numerically at that grid
     point (the failure text is kept in ``errors[i]``).  ``argopt``/
-    ``opt_value`` obey the smallest-parameter tie rule on plateaus.
+    ``opt_value`` obey the smallest-cutoff tie rule on plateaus.
     """
 
-    parameter: str
     objective: str
     values_dbm: np.ndarray
     reports: list[MetricsReport | None]
@@ -93,7 +89,6 @@ def sweep(
     tier: int,
     grid: tuple[float, float, int],
     objective: str = "total_outage",
-    method: str = "auto",
 ) -> SweepResult:
     """Evaluate the full analytic report across a rho_o grid (dBm) for one
     tier and locate the grid optimum of the chosen objective.
@@ -108,21 +103,14 @@ def sweep(
         raise ValueError(f"grid range must satisfy from < to, got [{lo}, {hi}]")
     if steps < 2:
         raise ValueError(f"grid needs at least 2 points, got {steps}")
-    extract, maximize = OBJECTIVES.get(objective, (None, None))
-    if extract is None:
-        raise ValueError(
-            f"unknown objective {objective!r}; expected one of {sorted(OBJECTIVES)}"
-        )
+    extract, maximize = _lookup(objective)
     values = np.linspace(lo, hi, steps)
     reports: list[MetricsReport | None] = []
     errors: list[str | None] = []
     for v in values:
         try:
-            reports.append(
-                analytic.full_report(
-                    config.with_tier_rho_o(tier, dbm_to_watts(v)), tier, method=method
-                )
-            )
+            cfg = config.with_tier_rho_o(tier, dbm_to_watts(v))
+            reports.append(analytic.full_report(cfg, tier))
             errors.append(None)
         except (QuadratureError, ArithmeticError) as exc:  # record and move on
             reports.append(None)
@@ -136,7 +124,6 @@ def sweep(
     key = (lambda i: -scores[i]) if maximize else (lambda i: scores[i])
     best = min(finite, key=key)  # ties resolve to the smallest rho_o
     return SweepResult(
-        parameter="rho_o_dbm",
         objective=objective,
         values_dbm=values,
         reports=reports,
@@ -152,7 +139,6 @@ def refine_optimum(
     objective: str,
     bracket: tuple[float, float],
     tol: float = 0.01,
-    method: str = "auto",
 ) -> tuple[float, float]:
     """Golden-section refinement of the objective over ``bracket`` (dBm).
 
@@ -167,7 +153,7 @@ def refine_optimum(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
-    fn, sign = _objective_fn(config, tier, objective, method)
+    fn, sign = _objective_fn(config, tier, objective)
 
     evaluated: dict[float, float] = {}
 

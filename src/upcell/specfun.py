@@ -4,8 +4,7 @@ adaptive quadrature over finite and semi-infinite ranges.
 The tail integral J(eta, a) has a closed form for every eta > 2: arctan at
 eta = 4 and a Gauss hypergeometric function otherwise, the same function
 as rho(.) in Andrews, Baccelli and Ganti, "A Tractable Approach to
-Coverage and Rate in Cellular Networks" (2011).  Its adaptive quadrature
-is kept as the cross-check.
+Coverage and Rate in Cellular Networks" (2011).
 
 Everything here is a pure function of its arguments; there is no shared
 mutable state, so all routines are safe to call concurrently.
@@ -14,52 +13,29 @@ mutable state, so all routines are safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import integrate, special
 
 __all__ = [
-    "QuadratureSpec",
     "QuadratureError",
-    "DEFAULT_QUADRATURE",
     "lower_incomplete_gamma",
     "tail_interference_integral",
     "integrate_semi_infinite",
     "integrate_interval",
 ]
 
+# tight enough that the test-side quadrature of J reproduces the closed
+# forms to <= 1e-9 relative
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
+_MAX_SUBDIVISIONS = 2000
+
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature exhausted its subdivision budget before reaching
     the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget for the adaptive integrators.
-
-    The defaults are tight enough that closed-form/quadrature cross-checks
-    agree to <= 1e-9 relative.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if not self.abs_tol > 0:
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def lower_incomplete_gamma(a: float, b: float) -> float:
@@ -103,23 +79,13 @@ def _tail_integral_hypergeometric(eta: float, a: float) -> float:
     )
 
 
-def tail_interference_integral(
-    eta: float,
-    a: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    method: str = "auto",
-) -> float:
-    """Evaluate J(eta, a) = int_a^inf y / (y^eta + 1) dy for eta > 2.
+def tail_interference_integral(eta: float, a: float) -> float:
+    """Evaluate J(eta, a) = int_a^inf y / (y^eta + 1) dy for eta > 2 in
+    closed form: arctan when eta == 4, the Gauss hypergeometric form
+    otherwise.
 
     This is the geometric factor of the interference Laplace transform;
     the lower limit encodes the interferer exclusion region.
-
-    ``method``:
-      * ``"auto"``         closed form: arctan when eta == 4, the Gauss
-        hypergeometric form otherwise;
-      * ``"closed_form"``  force the arctan form (eta must be 4);
-      * ``"quadrature"``   adaptive quadrature, the cross-check of the
-        closed forms; ``spec`` applies to this route only.
     """
     if not eta > 2:
         raise ValueError(
@@ -127,70 +93,42 @@ def tail_interference_integral(
         )
     if not a >= 0:
         raise ValueError(f"lower limit must be nonnegative, got {a}")
-    if method not in ("auto", "closed_form", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
     if math.isinf(a):
         return 0.0
-    if method == "closed_form" or (method == "auto" and eta == 4.0):
-        if eta != 4.0:
-            raise ValueError("closed form is only available for eta == 4")
+    if eta == 4.0:
         return _tail_integral_quartic(a)
-    if method == "auto":
-        return _tail_integral_hypergeometric(eta, a)
-    if a < 1.0:
-        return integrate_semi_infinite(lambda y: y / (y**eta + 1.0), a, spec)
-    # y = a t: a^(2-eta) int_1^inf t / (t^eta + a^-eta) dt, so the
-    # tolerance applies to an O(1) integral however small J is
-    c = a**-eta
-    return a ** (2.0 - eta) * integrate_semi_infinite(
-        lambda t: t / (t**eta + c), 1.0, spec
-    )
+    return _tail_integral_hypergeometric(eta, a)
 
 
-def _check_quad_result(result: tuple, spec: QuadratureSpec) -> float:
+def _check_quad_result(result: tuple) -> float:
     value, abserr = result[0], result[1]
     if len(result) > 3:  # QUADPACK appended a warning message
-        tol = max(spec.abs_tol, spec.rel_tol * abs(value))
+        tol = max(_ABS_TOL, _REL_TOL * abs(value))
         if not abserr <= tol:
             raise QuadratureError(
-                f"quadrature did not converge within {spec.max_subdivisions} "
+                f"quadrature did not converge within {_MAX_SUBDIVISIONS} "
                 f"subdivisions (estimated error {abserr:.3e}): {result[3]}"
             )
     return float(value)
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    lower: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
+def integrate_semi_infinite(f: Callable[[float], float], lower: float) -> float:
     """Integrate ``f`` over [lower, inf) to within
-    max(abs_tol, rel_tol * |result|).
+    max(1e-12, 1e-10 * |result|).
 
     The range is mapped onto a finite interval with the rational transform
     y = lower + (1 - t)/t and integrated by adaptive Gauss-Kronrod
     bisection (QUADPACK QAGI).  Raises :class:`QuadratureError` when the
     subdivision budget is exhausted without meeting the tolerance.
     """
-    result = integrate.quad(
-        f,
-        lower,
-        np.inf,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
-        full_output=1,
-    )
-    return _check_quad_result(result, spec)
+    return integrate_interval(f, lower, np.inf)
 
 
 def integrate_interval(
-    f: Callable[[float], float],
-    lower: float,
-    upper: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+    f: Callable[[float], float], lower: float, upper: float
 ) -> float:
-    """Adaptive Gauss-Kronrod integration of ``f`` over [lower, upper].
+    """Adaptive Gauss-Kronrod integration of ``f`` over [lower, upper], to
+    the same tolerance as :func:`integrate_semi_infinite`.
 
     Tolerates integrable endpoint singularities (the power-law densities
     integrated here behave like x^(2/eta - 1) at the origin).
@@ -199,9 +137,9 @@ def integrate_interval(
         f,
         lower,
         upper,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
+        epsabs=_ABS_TOL,
+        epsrel=_REL_TOL,
+        limit=_MAX_SUBDIVISIONS,
         full_output=1,
     )
-    return _check_quad_result(result, spec)
+    return _check_quad_result(result)

@@ -84,11 +84,12 @@ def test_criterion_1_constant_rate_special_case():
     )
 
 
-def test_criterion_2_simplest_outage_both_routes():
+def test_criterion_2_simplest_outage_both_routes(monkeypatch, quadrature_tail):
     t0 = time.time()
     cfg = interference_limited(2.0, -70.0)
-    closed = analytic.sinr_outage(cfg, 0, method="closed_form")
-    generic = analytic.sinr_outage(cfg, 0, method="quadrature")
+    closed = analytic.sinr_outage(cfg, 0)
+    monkeypatch.setattr(analytic, "tail_interference_integral", quadrature_tail)
+    generic = analytic.sinr_outage(cfg, 0)
     err = max(abs(closed - OUTAGE_CONSTANT), abs(generic - OUTAGE_CONSTANT))
     elapsed = time.time() - t0
     report(
@@ -225,7 +226,7 @@ def test_criterion_7_u_shaped_tradeoff():
     )
 
 
-def test_criterion_8_property_suite():
+def test_criterion_8_property_suite(quadrature_tail):
     t0 = time.time()
     checks = []
 
@@ -253,8 +254,7 @@ def test_criterion_8_property_suite():
 
     # closed form vs quadrature at 1e-9
     agree = all(
-        abs(tail_interference_integral(4.0, a, method="closed_form")
-            - tail_interference_integral(4.0, a, method="quadrature"))
+        abs(tail_interference_integral(4.0, a) - quadrature_tail(4.0, a))
         <= 1e-9 * max(1.0, abs(tail_interference_integral(4.0, a)))
         for a in (0.0, 0.1, 0.5, 1.0, 2.0, 10.0)
     )

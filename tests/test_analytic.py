@@ -116,17 +116,20 @@ class TestTxPowerDistribution:
             rho_min_dbm=None,
         )
         for j in (0, 1):
-            common = TxPowerDistribution(cfg, j, kind="common")
-            mixture = TxPowerDistribution(cfg, j, kind="mixture")
-            np.testing.assert_allclose(
-                mixture.moment(1.0), common.moment(1.0), rtol=1e-8
-            )
-            np.testing.assert_allclose(
-                mixture.moment(0.5), common.moment(0.5), rtol=1e-8
-            )
+            for alpha in (1.0, 0.5):
+                np.testing.assert_allclose(
+                    analytic._mixture_moment(cfg, j, alpha),
+                    analytic._common_moment(cfg, j, alpha),
+                    rtol=1e-8,
+                )
+            # the mixture density against the common-exponent lemma with
+            # the summed intensity
+            dist = TxPowerDistribution(cfg, j)
             for x in (1e-4, 0.03, 0.7):
                 np.testing.assert_allclose(
-                    mixture.pdf(x), common.pdf(x), rtol=1e-12
+                    dist.pdf(x),
+                    lemma_pdf(x, cfg.total_intensity, cfg.tiers[j].rho_o, 1.0, 4.0),
+                    rtol=1e-12,
                 )
 
     def test_mixture_mean_power_at_low_cutoff(self):
@@ -153,8 +156,8 @@ class TestTxPowerDistribution:
         for j in (0, 1):
             for alpha in (0.5, 1.0):
                 np.testing.assert_allclose(
-                    TxPowerDistribution(cfg, j, kind="mixture").moment(alpha),
-                    TxPowerDistribution(cfg, j, kind="common").moment(alpha),
+                    analytic._mixture_moment(cfg, j, alpha),
+                    analytic._common_moment(cfg, j, alpha),
                     rtol=1e-9, err_msg=f"tier {j}, alpha={alpha}",
                 )
 
@@ -166,7 +169,7 @@ class TestTxPowerDistribution:
         )
         for j in (0, 1):
             dist = TxPowerDistribution(cfg, j)
-            assert dist.kind == "mixture"
+            assert not cfg.common_exponent()
             assert dist.cdf(cfg.p_max) == pytest.approx(1.0, abs=1e-8)
             total, _ = integrate.quad(dist.pdf, 0.0, 1.0, limit=300)
             assert total == pytest.approx(1.0, abs=1e-8)
@@ -270,13 +273,12 @@ class TestInterferenceLaplace:
 
 
 class TestSinrOutage:
-    def test_simplest_closed_form(self):
+    def test_simplest_closed_form(self, monkeypatch, quadrature_tail):
         cfg = interference_free_limit()
         expected = 1.0 - math.exp(-math.pi / 4.0)
         np.testing.assert_allclose(sinr_outage(cfg, 0), expected, rtol=1e-12)
-        np.testing.assert_allclose(
-            sinr_outage(cfg, 0, method="quadrature"), expected, rtol=1e-9
-        )
+        monkeypatch.setattr(analytic, "tail_interference_integral", quadrature_tail)
+        np.testing.assert_allclose(sinr_outage(cfg, 0), expected, rtol=1e-9)
 
     def test_simplest_form_approached_by_general_path(self):
         # large-but-finite budget and near-zero noise approach the exact
@@ -289,16 +291,14 @@ class TestSinrOutage:
         cfg = replace(single_tier(theta_db=-120.0), noise=0.0)
         assert sinr_outage(cfg, 0) < 1e-5
 
-    def test_closed_form_vs_quadrature_grid(self):
+    def test_closed_form_vs_quadrature_grid(self, monkeypatch, quadrature_tail):
         for rho in (-90.0, -75.0, -60.0):
             cfg = single_tier(rho_o_dbm=rho)
-            a = sinr_outage(cfg, 0, method="closed_form")
-            b = sinr_outage(cfg, 0, method="quadrature")
+            a = sinr_outage(cfg, 0)
+            with monkeypatch.context() as m:
+                m.setattr(analytic, "tail_interference_integral", quadrature_tail)
+                b = sinr_outage(cfg, 0)
             np.testing.assert_allclose(b, a, rtol=1e-9)
-
-    def test_closed_form_requires_quartic_exponent(self):
-        with pytest.raises(ValueError):
-            sinr_outage(single_tier(eta=3.0), 0, method="closed_form")
 
     def test_nonincreasing_in_cutoff(self):
         rhos = np.linspace(-95.0, -45.0, 51)
@@ -314,15 +314,17 @@ class TestSinrOutage:
                 sinr_outage(multi, j), sinr_outage(merged, 0), rtol=1e-9
             )
 
-    def test_mixture_route_matches_common_route(self):
+    def test_mixture_route_matches_common_route(self, monkeypatch):
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(1.0, -70.0),
                    TierConfig.from_engineering(3.0, -78.0)],
             rho_min_dbm=None,
         )
         for j in (0, 1):
-            a = sinr_outage(cfg, j, power_kind="common")
-            b = sinr_outage(cfg, j, power_kind="mixture")
+            a = sinr_outage(cfg, j)  # a common exponent: the closed form
+            with monkeypatch.context() as m:
+                m.setattr(analytic, "_fractional_moment", analytic._mixture_moment)
+                b = sinr_outage(cfg, j)
             np.testing.assert_allclose(b, a, rtol=1e-8)
 
     def test_distinct_exponent_path_runs(self):
@@ -364,20 +366,41 @@ class TestSpectralEfficiency:
             values.append(spectral_efficiency(cfg, 0))
         np.testing.assert_allclose(values, values[0], rtol=1e-9)
 
-    def test_closed_form_vs_quadrature(self):
+    def test_mixture_rate_at_low_cutoff(self):
+        # below about -108 dBm the survival function of tier 0 has decayed
+        # by x ~ 1e-5, finer than an unscaled semi-infinite rule samples;
+        # reference values from mpmath (upbench/oracle_table.json)
+        for rho, expected in ((-120.0, 3.6497305685496777e-06),
+                              (-108.0, 5.783798751428052e-05)):
+            cfg = NetworkConfig.from_engineering(
+                tiers=[TierConfig.from_engineering(1.0, rho, eta=3.2),
+                       TierConfig.from_engineering(10.0, -75.0, eta=4.0)],
+                rho_min_dbm=None,
+            )
+            np.testing.assert_allclose(
+                spectral_efficiency(cfg, 0), expected, rtol=1e-8,
+                err_msg=f"rho_o={rho} dBm",
+            )
+
+    def test_closed_form_vs_quadrature(self, monkeypatch, quadrature_tail):
         cfg = single_tier()
-        a = spectral_efficiency(cfg, 0, method="closed_form")
-        b = spectral_efficiency(cfg, 0, method="quadrature")
+        a = spectral_efficiency(cfg, 0)
+        monkeypatch.setattr(analytic, "tail_interference_integral", quadrature_tail)
+        b = spectral_efficiency(cfg, 0)
         np.testing.assert_allclose(b, a, rtol=1e-9)
 
 
 @pytest.mark.parametrize("eta", [2.5, 3.5, 6.0])
-def test_hypergeometric_tail_matches_quadrature(eta):
+def test_hypergeometric_tail_matches_quadrature(eta, monkeypatch, quadrature_tail):
     for rho in (-90.0, -70.0):
         cfg = single_tier(eta=eta, rho_o_dbm=rho)
         for metric in (sinr_outage, spectral_efficiency):
+            closed = metric(cfg, 0)
+            with monkeypatch.context() as m:
+                m.setattr(analytic, "tail_interference_integral", quadrature_tail)
+                generic = metric(cfg, 0)
             np.testing.assert_allclose(
-                metric(cfg, 0, method="quadrature"), metric(cfg, 0), rtol=1e-9,
+                generic, closed, rtol=1e-9,
                 err_msg=f"{metric.__name__}, rho_o={rho} dBm",
             )
 

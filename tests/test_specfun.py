@@ -11,7 +11,6 @@ import pytest
 
 from upcell.specfun import (
     QuadratureError,
-    QuadratureSpec,
     integrate_interval,
     integrate_semi_infinite,
     lower_incomplete_gamma,
@@ -93,13 +92,13 @@ class TestLowerIncompleteGamma:
 
 
 class TestTailInterferenceIntegral:
-    def test_quartic_closed_form(self):
+    def test_quartic_closed_form(self, quadrature_tail):
         # J(4, 1) = (1/2)(pi/2 - arctan 1) = pi/8
         np.testing.assert_allclose(
             tail_interference_integral(4.0, 1.0), math.pi / 8.0, rtol=1e-14
         )
         np.testing.assert_allclose(
-            tail_interference_integral(4.0, 1.0, method="quadrature"),
+            quadrature_tail(4.0, 1.0),
             math.pi / 8.0,
             rtol=1e-10,
         )
@@ -113,10 +112,10 @@ class TestTailInterferenceIntegral:
             tail_interference_integral(3.0, 0.5), J_3_HALF, rtol=1e-10
         )
 
-    def test_closed_form_matches_quadrature_on_grid(self):
+    def test_closed_form_matches_quadrature_on_grid(self, quadrature_tail):
         for a in (0.0, 0.1, 0.5, 1.0, 2.0, 10.0):
-            closed = tail_interference_integral(4.0, a, method="closed_form")
-            generic = tail_interference_integral(4.0, a, method="quadrature")
+            closed = tail_interference_integral(4.0, a)
+            generic = quadrature_tail(4.0, a)
             np.testing.assert_allclose(generic, closed, rtol=1e-9, err_msg=f"a={a}")
 
     def test_monotone_nonincreasing_in_a(self):
@@ -170,12 +169,12 @@ class TestTailInterferenceIntegral:
                     assert rel <= 1e-12, f"eta={eta}, a={a}: {float(rel):.2e}"
 
     @pytest.mark.parametrize("eta", [2.5, 3.5, 4.0, 6.0])
-    def test_quadrature_matches_closed_form_on_grid(self, eta):
+    def test_quadrature_matches_closed_form_on_grid(self, eta, quadrature_tail):
         # includes a = 1e3 at eta = 6, where J = 2.5e-13 sits far below the
         # absolute tolerance of an unscaled quadrature
         for a in (0.0, 1e-3, 0.3, 0.99, 1.0, 1.01, 3.0, 10.0, 100.0, 1e3):
             np.testing.assert_allclose(
-                tail_interference_integral(eta, a, method="quadrature"),
+                quadrature_tail(eta, a),
                 tail_interference_integral(eta, a),
                 rtol=1e-9,
                 err_msg=f"eta={eta}, a={a}",
@@ -186,8 +185,6 @@ class TestTailInterferenceIntegral:
             tail_interference_integral(2.0, 1.0)
         with pytest.raises(ValueError):
             tail_interference_integral(1.5, 0.0)
-        with pytest.raises(ValueError):
-            tail_interference_integral(3.0, 1.0, method="closed_form")
 
 
 class TestIntegrateSemiInfinite:
@@ -215,10 +212,9 @@ class TestIntegrateSemiInfinite:
         )
 
     def test_budget_exhaustion_raises(self):
-        spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-14, max_subdivisions=1)
         with pytest.raises(QuadratureError):
             integrate_semi_infinite(
-                lambda x: math.sin(50.0 * x) * math.exp(-0.01 * x), 0.0, spec
+                lambda x: math.sin(50.0 * x) * math.exp(-0.01 * x), 0.0
             )
 
 
@@ -228,17 +224,3 @@ class TestIntegrateInterval:
         val = integrate_interval(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
         np.testing.assert_allclose(val, 2.0, rtol=1e-9)
 
-
-class TestQuadratureSpec:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"rel_tol": 0.0},
-            {"rel_tol": -1e-3},
-            {"abs_tol": 0.0},
-            {"max_subdivisions": 0},
-        ],
-    )
-    def test_invalid_spec_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**kwargs)
