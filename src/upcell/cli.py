@@ -72,7 +72,10 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _load_config(path: str) -> tuple[NetworkConfig, str]:
+def _load_config(args) -> tuple[NetworkConfig, str]:
+    """The config at ``args.config`` and its digest; ``args.tier``, unless
+    ``None``, must index one of its tiers."""
+    path = args.config
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -86,7 +89,13 @@ def _load_config(path: str) -> tuple[NetworkConfig, str]:
     digest = hashlib.sha256(
         json.dumps(mapping, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    return network_from_mapping(mapping), digest
+    config = network_from_mapping(mapping)
+    if args.tier is not None and not 0 <= args.tier < config.n_tiers:
+        raise ValueError(
+            f"--tier takes 0 to {config.n_tiers - 1} for this config "
+            f"({config.n_tiers} tier(s)), got {args.tier}"
+        )
+    return config, digest
 
 
 def _write_manifest(
@@ -140,7 +149,7 @@ def _write_csv(output: str, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_analyze(args) -> int:
-    config, digest = _load_config(args.config)
+    config, digest = _load_config(args)
     tiers = range(config.n_tiers) if args.tier is None else [args.tier]
     rows = []
     for j in tiers:
@@ -167,7 +176,7 @@ def _simulation_row(config: NetworkConfig, j: int, sim: SimulationReport) -> lis
 
 
 def cmd_simulate(args) -> int:
-    config, digest = _load_config(args.config)
+    config, digest = _load_config(args)
     sim = estimate_metrics(
         config, args.iterations, args.seed, tier=args.tier, workers=args.workers
     )
@@ -198,7 +207,7 @@ def _wilson_contains(value: float, mean: float, n: int) -> bool:
 
 
 def cmd_validate(args) -> int:
-    config, digest = _load_config(args.config)
+    config, digest = _load_config(args)
     report = analytic.full_report(config, args.tier)
     sim = estimate_metrics(
         config, args.iterations, args.seed, tier=args.tier, workers=args.workers
@@ -276,7 +285,7 @@ def _write_grid(args, digest: str, config: NetworkConfig, tier: int, result,
 
 
 def cmd_sweep(args) -> int:
-    config, digest = _load_config(args.config)
+    config, digest = _load_config(args)
     result = optimize.sweep(
         config, args.tier, (args.grid_from, args.grid_to, args.steps), args.objective
     )
@@ -285,7 +294,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config, digest = _load_config(args.config)
+    config, digest = _load_config(args)
     result = optimize.sweep(
         config, args.tier, (args.grid_from, args.grid_to, args.steps), args.objective
     )

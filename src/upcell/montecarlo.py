@@ -8,10 +8,12 @@ Protocol per realization:
    eligible region: the points of the expanded window that the BS serves
    and whose channel-inversion power fits the budget.  Each BS draws
    rejection-sampling proposals uniformly in a disc that contains that
-   region, of radius min(reach, same-tier cell bound) with reach
-   (P_u / rho_o)^(1/eta), and keeps the first proposal that lies in the
-   window, is served by it, and fits the budget.  Unresolved BSs get
-   twice as many proposals each round; a realization in which an
+   region, of radius min(reach, same-tier cell bound, cross-tier bound)
+   with reach (P_u / rho_o)^(1/eta).  The cross-tier bound holds for a BS
+   of a tier whose exponent exceeds another tier's, and shrinks as that
+   tier's nearest BS gets closer.  The BS keeps the first proposal that
+   lies in the window, is served by it, and fits the budget.  Unresolved
+   BSs get twice as many proposals each round; a realization in which an
    inner-window BS is still unresolved after the round cap is discarded
    and counted.
 3. Measure the BS nearest the window centre (a Slivnyak-style surrogate
@@ -57,6 +59,8 @@ __all__ = [
 MAX_BATCHES_DEFAULT = 50
 # proposals per round over all unresolved BSs, once doubling reaches it
 MAX_ROUND_POINTS = 2**16
+# Newton steps for the cross-tier bound; an unconverged root is discarded
+NEWTON_STEPS = 8
 
 
 class SaturationError(RuntimeError):
@@ -80,6 +84,20 @@ def sample_ppp(
     return rng.uniform(-side / 2.0, side / 2.0, size=(n, 2))
 
 
+def _tier_distances(points, trees):
+    """Distance from each of ``points`` (an (m, 2) array or one (2,) point)
+    to its nearest BS of every tier, and that BS's index within its tier:
+    two arrays of shape (n_tiers,) + points.shape[:-1], inf and 0 for an
+    empty tier (``None`` tree).  Each tree is queried once."""
+    points = np.asarray(points, dtype=float)
+    dist = np.full((len(trees),) + points.shape[:-1], np.inf)
+    local = np.zeros(dist.shape, dtype=np.intp)
+    for k, tree in enumerate(trees):
+        if tree is not None:
+            dist[k], local[k] = tree.query(points)
+    return dist, local
+
+
 def best_link(points, trees, etas):
     """Best-link association of ``points``, an (m, 2) array or one (2,)
     point: each is served by the BS that minimizes r^eta over every tier
@@ -93,13 +111,10 @@ def best_link(points, trees, etas):
     """
     if all(tree is None for tree in trees):
         raise ValueError("association requires at least one base station")
-    points = np.asarray(points, dtype=float)
-    weights = np.full((len(trees),) + points.shape[:-1], np.inf)
-    local = np.zeros(weights.shape, dtype=np.intp)
-    for k, tree in enumerate(trees):
-        if tree is not None:
-            dist, local[k] = tree.query(points)
-            weights[k] = dist ** etas[k]
+    dist, local = _tier_distances(points, trees)
+    weights = np.empty_like(dist)
+    for k, eta in enumerate(etas):
+        weights[k] = dist[k] ** eta
     tier = np.argmin(weights, axis=0)
     pick = tier[np.newaxis]
     return (
@@ -142,6 +157,55 @@ def _cell_bounds(sites: np.ndarray, half: float) -> np.ndarray:
     return np.where(bound > 0.0, np.minimum(bound, corner), corner)
 
 
+def _proposal_radius(tier_xy, trees, etas, reach, half):
+    """Per BS, tiers concatenated, the radius of a disc about it that holds
+    every point of [-half, half]^2 that it serves within its reach.
+
+    The radius is min(reach, same-tier cell bound, cross-tier bound): a BS
+    serves no point that a same-tier BS is nearer to, so its region lies
+    in its same-tier cell.  For a tier-k BS and a tier i with
+    eta_i < eta_k, let D be the distance from the BS to its nearest
+    tier-i BS ``a``.  A point x at distance r that the BS serves has
+    r^eta_k <= |x - a|^eta_i <= (D + r)^eta_i, so r is at most the root
+    r* of g(r) = eta_k ln r - eta_i ln(D + r), which is increasing and
+    concave on (0, inf).  The cross-tier bound is the least r* over such
+    tiers.
+
+    Returns the radii and whether the sites were queried against every
+    tree for D, which happens only when two non-empty tiers have
+    different exponents.
+    """
+    counts = [len(p) for p in tier_xy]
+    radius = np.concatenate([
+        np.minimum(reach[k], _cell_bounds(p, half))
+        for k, p in enumerate(tier_xy) if len(p)
+    ])
+    present = etas[np.asarray(counts) > 0]
+    if present.min() == present.max():
+        return radius, False
+    eta_bs = np.repeat(etas, counts)
+    dist, _ = _tier_distances(np.concatenate(tier_xy), trees)
+    for i, eta_i in enumerate(etas):
+        lower = eta_i < eta_bs
+        if not (counts[i] and lower.any()):
+            continue
+        d, eta_k = dist[i, lower], eta_bs[lower]
+        # Newton in t = ln r on the increasing, concave
+        # h(t) = eta_k t - eta_i ln(D + e^t) climbs to the root from any
+        # start below it, here ln max(1, D^(eta_i / eta_k)) <= ln r*
+        with np.errstate(divide="ignore"):
+            t = np.maximum(0.0, eta_i / eta_k * np.log(d))
+        for _ in range(NEWTON_STEPS):
+            r = np.exp(t)
+            t -= (eta_k * t - eta_i * np.log(d + r)) / (eta_k - eta_i * r / (d + r))
+        # the iterates stay below r*: a root still short of it after the
+        # inflation fails g >= 0 and leaves the radius as it was
+        root = np.exp(t) * (1.0 + 1e-9)
+        ok = eta_k * np.log(root) >= eta_i * np.log(d + root)
+        radius[lower] = np.where(ok, np.minimum(radius[lower], root), radius[lower])
+    return radius, True
+
+
 @dataclass
 class Realization:
     """One Monte Carlo draw.
@@ -164,8 +228,11 @@ class Realization:
     tagged_interference: float
     tagged_ue_power: float     # W, the scheduled UE in the tagged cell
     probe_truncated: bool
-    n_ue_dropped: int          # proposals queried against each tier's tree
-    n_batches: int             # proposal rounds, one query per tree each
+    # 2-D queries of each non-empty tier's tree: one per proposal round,
+    # plus one of every BS site for the cross-tier bound when two tiers
+    # have different exponents; the probe's 1-D query is not counted
+    n_ue_dropped: int          # points in those queries, per tree
+    n_batches: int             # those queries, per tree
 
 
 def build_realization(
@@ -208,18 +275,14 @@ def build_realization(
         raise SaturationError("no base station inside the inner window")
     targets = np.flatnonzero(inner)
 
-    # a BS's eligible region lies in its reach disc and, since a BS serves
-    # no point that a same-tier BS is nearer to, in its same-tier cell
     reach = (config.p_max / rhos) ** (1.0 / etas)
-    radius = np.concatenate([
-        np.minimum(reach[k], _cell_bounds(p, half_drop))
-        for k, p in enumerate(tier_xy) if len(p)
-    ])
+    radius, queried = _proposal_radius(tier_xy, trees, etas, reach, half_drop)
 
     ue_xy = np.zeros((n_bs, 2))
     ue_power = np.zeros(n_bs)
     pending = np.arange(n_bs)
-    n_points = n_rounds = 0
+    n_points = n_bs if queried else 0
+    n_rounds = 0
     while pending.size and n_rounds < max_batches:
         m = max(1, min(2**n_rounds, MAX_ROUND_POINTS // pending.size))
         n_rounds += 1
@@ -249,7 +312,7 @@ def build_realization(
     if inner[pending].any():
         raise SaturationError(
             f"{np.count_nonzero(inner[pending])} inner-window BSs unscheduled "
-            f"after {n_rounds} rounds ({n_points} proposals)"
+            f"after {n_rounds} rounds ({n_points} points queried per tree)"
         )
 
     scheduled = np.setdiff1d(np.arange(n_bs), pending, assume_unique=True)
@@ -303,7 +366,7 @@ def build_realization(
         tagged_ue_power=float(ue_power[tagged_pos]),
         probe_truncated=probe_truncated,
         n_ue_dropped=n_points,
-        n_batches=n_rounds,
+        n_batches=n_rounds + int(queried),
     )
 
 
@@ -417,10 +480,15 @@ def estimate_metrics(
     is bitwise reproducible for a given (seed, iterations) whatever
     ``workers`` is, because every realization owns its own keyed stream
     and the reduction runs in realization order.  ``workers`` must be at
-    least 1.
+    least 1, and ``tier`` (the measured tier, ``None`` for any) a tier
+    index of ``config``.
     """
     if iterations < 100:
         raise ValueError(f"at least 100 iterations required, got {iterations}")
+    if tier is not None and not 0 <= tier < config.n_tiers:
+        raise ValueError(
+            f"tier must be in [0, {config.n_tiers}) for this config, got {tier}"
+        )
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if workers < 1:

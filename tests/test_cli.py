@@ -241,3 +241,40 @@ class TestSweepVerbs:
             main(["sweep", "--config", paper_config, "--output",
                   str(tmp_path / "x.csv")])
         assert info.value.code == 2
+
+
+class TestTierRange:
+    # every verb rejects a tier index the config does not have, with a
+    # usage error, before any evaluation
+    @pytest.mark.parametrize("verb, extra", [
+        ("analyze", []),
+        ("simulate", ["--iterations", "100"]),
+        ("validate", ["--iterations", "100"]),
+        ("sweep", ["--from", "-80", "--to", "-60", "--steps", "2"]),
+        ("optimize", ["--from", "-80", "--to", "-60", "--steps", "2"]),
+    ])
+    @pytest.mark.parametrize("tier", ["1", "-1", "3"])
+    def test_out_of_range_tier_exits_2(self, verb, extra, tier, paper_config,
+                                       tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([verb, "--config", paper_config, "--output", str(out),
+                     "--tier", tier] + extra)
+        assert code == 2
+        assert "--tier" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_last_tier_of_two_accepted(self, tmp_path):
+        cfg = dict(PAPER_CONFIG)
+        cfg["tiers"] = [
+            {"lambda_per_km2": 2.0, "rho_o_dbm": -70.0},
+            {"lambda_per_km2": 5.0, "rho_o_dbm": -75.0},
+        ]
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "two.csv"
+        assert main(["analyze", "--config", str(path), "--output", str(out),
+                     "--tier", "1"]) == 0
+        _, rows = read_csv(out)
+        assert [row[0] for row in rows] == ["1"]
+        assert main(["analyze", "--config", str(path), "--output", str(out),
+                     "--tier", "2"]) == 2

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 from upcell import analytic, montecarlo
@@ -67,6 +68,31 @@ def two_tier_config():
         window_km=2.0,
         guard_km=0.3,
     )
+
+
+def common_exponent_config():
+    return NetworkConfig.from_engineering(
+        tiers=[TierConfig.from_engineering(10.0, -70.0, 0.0, 4.0),
+               TierConfig.from_engineering(10.0, -72.0, 0.0, 4.0)],
+        rho_min_dbm=None,
+        window_km=2.0,
+        guard_km=0.3,
+    )
+
+
+class CountingKDTree:
+    """cKDTree stand-in that records the size of every 2-D query, as the
+    benchmark's traced tree does; the probe's 1-D query is left out."""
+
+    def __init__(self, data):
+        self._tree = cKDTree(data)
+        self.queries = []
+
+    def query(self, x):
+        x = np.asarray(x)
+        if x.ndim == 2:
+            self.queries.append(len(x))
+        return self._tree.query(x)
 
 
 class TestSamplePpp:
@@ -278,6 +304,14 @@ class TestSaturation:
         with pytest.raises(ValueError, match="workers"):
             estimate_metrics(small_config(), 100, seed=0, workers=workers)
 
+    @pytest.mark.parametrize("config, tier", [
+        (small_config(), 1), (small_config(), -1), (two_tier_config(), 2),
+        (two_tier_config(), 5), (two_tier_config(), -1),
+    ])
+    def test_tier_out_of_range_rejected(self, config, tier):
+        with pytest.raises(ValueError, match="tier"):
+            estimate_metrics(config, 100, seed=0, tier=tier)
+
 
 class TestScheduler:
     def test_cell_bounds_cover_every_cell(self):
@@ -346,6 +380,182 @@ class TestScheduler:
             for ue, bs in zip(r.ue_xy, r.ue_bs):
                 assert associate(ue, r.bs_xy, r.bs_tier, cfg)[0] == bs
             assert not r.probe_truncated
+
+
+def mixed_layout(rng, n_tiers, half, coincident):
+    """Sites of 2-3 tiers with at least two distinct exponents; with
+    ``coincident``, the first site of a highest-exponent tier sits on a
+    site of a lowest-exponent tier (D = 0)."""
+    while True:
+        etas = rng.choice([2.8, 3.2, 3.5, 4.0, 5.0], n_tiers)
+        if etas.min() < etas.max():
+            break
+    tier_xy = [rng.uniform(-half, half, size=(rng.integers(1, 25), 2))
+               for _ in range(n_tiers)]
+    if coincident:
+        tier_xy[np.argmax(etas)][0] = tier_xy[np.argmin(etas)][0]
+    return tier_xy, etas
+
+
+def cross_tier_root(d, eta_i, eta_k):
+    """The root r* of eta_k ln r - eta_i ln(d + r), by bracketing in ln r."""
+    g = lambda t: eta_k * t - eta_i * math.log(d + math.exp(t))
+    hi = 1.0
+    while g(hi) < 0.0:
+        hi *= 2.0
+    return math.exp(brentq(g, 0.0, hi, xtol=1e-15))
+
+
+class TestCrossTierBound:
+    # a BS of a higher-exponent tier serves no point beyond r*, the root
+    # of eta_k ln r - eta_i ln(D + r), D the distance to its nearest BS of
+    # a lower-exponent tier i
+
+    HALF = 1000.0
+
+    def layouts(self):
+        rng = np.random.default_rng(17)
+        for case in range(30):
+            tier_xy, etas = mixed_layout(rng, 2 + case % 2, self.HALF,
+                                         coincident=case % 3 == 0)
+            # finite reach on most layouts, p_max = inf on every fourth
+            reach = (np.full(len(etas), np.inf) if case % 4 == 0
+                     else rng.uniform(150.0, 600.0, len(etas)))
+            trees = [cKDTree(p) for p in tier_xy]
+            radius, queried = montecarlo._proposal_radius(
+                tier_xy, trees, etas, reach, self.HALF)
+            assert queried
+            old = np.concatenate([
+                np.minimum(reach[k], montecarlo._cell_bounds(p, self.HALF))
+                for k, p in enumerate(tier_xy)
+            ])
+            yield tier_xy, etas, reach, trees, radius, old
+
+    def test_served_points_lie_within_radius(self):
+        rng = np.random.default_rng(3)
+        bound = n_points = 0
+        for tier_xy, etas, reach, trees, radius, old in self.layouts():
+            sites = np.concatenate(tier_xy)
+            offsets = np.cumsum([0] + [len(p) for p in tier_xy[:-1]])
+            # uniform points plus a 3 m disc about every site, which holds
+            # all of a coincident BS's 1 m lobe
+            near = rng.uniform(-3.0, 3.0, size=(len(sites), 40, 2)) + sites[:, None]
+            points = np.concatenate([
+                rng.uniform(-self.HALF, self.HALF, size=(20000, 2)),
+                np.clip(near.reshape(-1, 2), -self.HALF, self.HALF),
+            ])
+            tier, local, _ = best_link(points, trees, etas)
+            served = offsets[tier] + local
+            d = np.hypot(*(points - sites[served]).T)
+            eligible = d <= reach[tier]
+            assert (d[eligible] <= radius[served[eligible]]).all()
+            bound += np.count_nonzero(radius < old)
+            n_points += np.count_nonzero(eligible)
+        # the cross-tier bound is what binds for a good share of the BSs
+        assert bound > 300 and n_points > 400000
+
+    def test_radius_is_the_inflated_root(self):
+        binding = 0
+        for tier_xy, etas, reach, trees, radius, old in self.layouts():
+            sites = np.concatenate(tier_xy)
+            eta_bs = np.repeat(etas, [len(p) for p in tier_xy])
+            for b, (site, eta_k) in enumerate(zip(sites, eta_bs)):
+                near = [(trees[i].query(site)[0], eta_i)
+                        for i, eta_i in enumerate(etas) if eta_i < eta_k]
+                roots = [(cross_tier_root(d, eta_i, eta_k), eta_i, d)
+                         for d, eta_i in near]
+                if not roots:
+                    assert radius[b] == old[b]
+                    continue
+                root, eta_i, d = min(roots)
+                if radius[b] < old[b]:
+                    binding += 1
+                    g = eta_k * math.log(radius[b]) - eta_i * math.log(d + radius[b])
+                    assert g >= 0.0
+                    assert root * (1 - 1e-12) <= radius[b] <= root * (1 + 1e-9 + 1e-12)
+                else:
+                    # the bound was not missed where it binds
+                    assert radius[b] == old[b]
+                    assert old[b] <= root * (1 + 1e-9 + 1e-12)
+        assert binding > 300
+
+    def test_coincident_sites_give_a_one_metre_lobe(self):
+        tier_xy = [np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [500.0, 0.0]])]
+        etas = np.array([3.2, 4.0])
+        trees = [cKDTree(p) for p in tier_xy]
+        radius, _ = montecarlo._proposal_radius(
+            tier_xy, trees, etas, np.full(2, np.inf), self.HALF)
+        assert radius[1] == pytest.approx(1.0, rel=2e-9) and radius[1] >= 1.0
+
+    @pytest.mark.parametrize("config", [small_config(), common_exponent_config()],
+                             ids=["single", "common"])
+    def test_single_exponent_radius_untouched(self, config):
+        rng = realization_rng(42, 0)
+        half = config.window_side / 2.0 + config.effective_guard_margin()
+        tier_xy = [sample_ppp(t.intensity, 2.0 * half, rng) for t in config.tiers]
+        etas = np.array([t.eta for t in config.tiers])
+        reach = np.array([(config.p_max / t.rho_o) ** (1.0 / t.eta)
+                          for t in config.tiers])
+        radius, queried = montecarlo._proposal_radius(
+            tier_xy, [cKDTree(p) for p in tier_xy], etas, reach, half)
+        assert not queried
+        np.testing.assert_array_equal(radius, np.concatenate([
+            np.minimum(reach[k], montecarlo._cell_bounds(p, half))
+            for k, p in enumerate(tier_xy)
+        ]))
+
+    @pytest.mark.parametrize("config, expected", [
+        (small_config(), [(9, 1502), (5, 936), (5, 859)]),
+        (common_exponent_config(), [(6, 1276), (7, 1998), (6, 1457)]),
+    ], ids=["single", "common"])
+    def test_single_exponent_counts_untouched(self, config, expected):
+        # rounds and proposals of the sampler without the cross-tier bound
+        counts = []
+        for i in range(3):
+            r = build_realization(config, realization_rng(42, i))
+            counts.append((r.n_batches, r.n_ue_dropped))
+        assert counts == expected
+
+    def test_ue_uniform_over_two_tier_lobe(self, monkeypatch):
+        # a tier-1 BS (eta = 4) at the origin with a tier-0 BS (eta = 3.2)
+        # 200 m away serves the lobe |x|^4 <= |x - a|^3.2, well inside its
+        # 421 m reach; compare its UEs with a brute-force rejection sample
+        cfg = NetworkConfig.from_engineering(
+            tiers=[TierConfig.from_engineering(1.0, -65.0, 0.0, 3.2),
+                   TierConfig.from_engineering(10.0, -75.0, 0.0, 4.0)],
+            rho_min_dbm=None, window_km=1.0, guard_km=0.2,
+        )
+        macro = np.array([200.0, 0.0])
+        layout = {cfg.tiers[0].intensity: macro[np.newaxis],
+                  cfg.tiers[1].intensity: np.zeros((1, 2))}
+        monkeypatch.setattr(montecarlo, "sample_ppp", lambda lam, *args: layout[lam])
+        ue = np.array([build_realization(cfg, realization_rng(5, i)).ue_xy[1]
+                       for i in range(400)])
+
+        box = np.random.default_rng(6).uniform(-100.0, 100.0, size=(200000, 2))
+        served = (np.hypot(*box.T) ** 4.0 <= np.hypot(*(box - macro).T) ** 3.2)
+        ref = box[served]
+        # the box holds the whole lobe: no served point near its edge
+        assert np.max(np.abs(ref)) < 98.0
+        for sim, brute in ((ue[:, 0], ref[:, 0]),
+                           (np.hypot(*ue.T), np.hypot(*ref.T))):
+            assert stats.ks_2samp(sim, brute).pvalue > 0.01
+
+    @pytest.mark.parametrize("config", [two_tier_config(), small_config()],
+                             ids=["mixed", "single"])
+    def test_counters_match_tree_queries(self, config, monkeypatch):
+        made = []
+
+        def counting_tree(data):
+            made.append(CountingKDTree(data))
+            return made[-1]
+
+        monkeypatch.setattr(montecarlo, "cKDTree", counting_tree)
+        r = build_realization(config, realization_rng(3, 5))
+        assert len(made) == config.n_tiers
+        for tree in made:
+            assert len(tree.queries) == r.n_batches
+            assert sum(tree.queries) == r.n_ue_dropped
 
 
 class TestReproducibility:
