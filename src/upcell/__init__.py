@@ -16,14 +16,12 @@ from .model import (
 )
 from .specfun import (
     QuadratureError,
-    integrate_semi_infinite,
     lower_incomplete_gamma,
     tail_interference_integral,
 )
 from .analytic import (
     TxPowerDistribution,
     full_report,
-    interference_laplace,
     sinr_outage,
     spectral_efficiency,
     truncation_outage,
@@ -54,10 +52,8 @@ __all__ = [
     "QuadratureError",
     "lower_incomplete_gamma",
     "tail_interference_integral",
-    "integrate_semi_infinite",
     "TxPowerDistribution",
     "truncation_outage",
-    "interference_laplace",
     "sinr_outage",
     "spectral_efficiency",
     "full_report",

@@ -46,7 +46,6 @@ from .specfun import (
 __all__ = [
     "TxPowerDistribution",
     "truncation_outage",
-    "interference_laplace",
     "sinr_outage",
     "spectral_efficiency",
     "full_report",
@@ -67,21 +66,6 @@ class TxPowerDistribution:
     def __init__(self, config: NetworkConfig, tier: int):
         self.config = config
         self.tier = tier
-        self._rho = config.tiers[tier].rho_o
-
-    def _truncation_exponent(self, x: float) -> float:
-        # sum_k pi lambda_k (x / rho_o_j)^(2/eta_k); reduces to
-        # pi Lambda (x/rho_o_j)^(2/eta) for a common exponent.
-        rho = self._rho
-        return sum(
-            math.pi * t.intensity * (x / rho) ** (2.0 / t.eta)
-            for t in self.config.tiers
-        )
-
-    @property
-    def _norm(self) -> float:
-        # P{required power <= p_max} = 1 - exp(-truncation exponent at p_max)
-        return -math.expm1(-self._truncation_exponent(self.config.p_max))
 
     def pdf(self, x: float) -> float:
         """Density at ``x`` watts; raises for x outside [0, p_max].
@@ -91,7 +75,7 @@ class TxPowerDistribution:
         """
         if not 0 <= x <= self.config.p_max:
             raise ValueError(f"power {x} outside the support [0, {self.config.p_max}]")
-        rho = self._rho
+        rho = self.config.tiers[self.tier].rho_o
         if x == 0.0:
             return math.inf
         weight = sum(
@@ -99,12 +83,18 @@ class TxPowerDistribution:
             / (t.eta * rho ** (2.0 / t.eta))
             for t in self.config.tiers
         )
-        return weight * math.exp(-self._truncation_exponent(x)) / self._norm
+        return (
+            weight * math.exp(-_void_exponent(self.config, self.tier, x))
+            / _active_probability(self.config, self.tier)
+        )
 
     def cdf(self, x: float) -> float:
         if not 0 <= x <= self.config.p_max:
             raise ValueError(f"power {x} outside the support [0, {self.config.p_max}]")
-        return -math.expm1(-self._truncation_exponent(x)) / self._norm
+        return (
+            -math.expm1(-_void_exponent(self.config, self.tier, x))
+            / _active_probability(self.config, self.tier)
+        )
 
     def moment(self, alpha: float) -> float:
         """Fractional moment E[P^alpha], alpha > 0."""
@@ -166,8 +156,22 @@ def _mixture_moment(config: NetworkConfig, tier: int, alpha: float) -> float:
         total += integrate_semi_infinite(bump, 0.0)
     elif log_p_max > split:
         total += integrate_interval(bump, 0.0, log_p_max - split)
-    norm = TxPowerDistribution(config, tier)._norm
-    return math.exp(alpha * split) * total / norm
+    return math.exp(alpha * split) * total / _active_probability(config, tier)
+
+
+def _void_exponent(config: NetworkConfig, tier: int, x: float) -> float:
+    # sum_k pi lambda_k (x / rho_o_j)^(2/eta_k): the mean number of BSs
+    # whose link would ask a UE of tier j for at most x watts; reduces to
+    # pi Lambda (x/rho_o_j)^(2/eta) for a common exponent
+    rho = config.tiers[tier].rho_o
+    return sum(
+        math.pi * t.intensity * (x / rho) ** (2.0 / t.eta) for t in config.tiers
+    )
+
+
+def _active_probability(config: NetworkConfig, tier: int) -> float:
+    # 1 - O_p, the normaliser of the transmit-power law
+    return -math.expm1(-_void_exponent(config, tier, config.p_max))
 
 
 def truncation_outage(config: NetworkConfig, tier: int) -> float:
@@ -176,12 +180,7 @@ def truncation_outage(config: NetworkConfig, tier: int) -> float:
 
     Exactly 0 for p_max = inf and tends to 1 as rho_o grows.
     """
-    rho = config.tiers[tier].rho_o
-    exponent = sum(
-        math.pi * t.intensity * (config.p_max / rho) ** (2.0 / t.eta)
-        for t in config.tiers
-    )
-    return math.exp(-exponent)
+    return math.exp(-_void_exponent(config, tier, config.p_max))
 
 
 def _moments_2_over_eta(config: NetworkConfig, observing_tier: int) -> list[float]:
@@ -191,41 +190,6 @@ def _moments_2_over_eta(config: NetworkConfig, observing_tier: int) -> list[floa
     ]
 
 
-def _interference_exponent_one(
-    config: NetworkConfig,
-    observing_tier: int,
-    source_tier: int,
-    s: float,
-    moment: float,
-) -> float:
-    eta_j = config.tiers[observing_tier].eta
-    src = config.tiers[source_tier]
-    lower = (s * src.rho_o) ** (-1.0 / eta_j)
-    tail = tail_interference_integral(eta_j, lower)
-    return _TWO_PI * src.intensity * s ** (2.0 / eta_j) * moment * tail
-
-
-def interference_laplace(
-    config: NetworkConfig, observing_tier: int, source_tier: int, s: float
-) -> float:
-    """Laplace transform of the aggregate interference produced at a tagged
-    BS of ``observing_tier`` by the active UEs of ``source_tier``:
-
-        exp(-2 pi lambda_k s^(2/eta_j) E[P_k^(2/eta_j)]
-            * J(eta_j, (s rho_o_k)^(-1/eta_j)))
-
-    The lower limit reflects that any single interferer is received below
-    its own tier's cutoff.  Value in (0, 1]; tends to 1 as s -> 0+ or as
-    the source intensity vanishes.
-    """
-    if not s > 0:
-        raise ValueError(f"transform argument must be positive, got {s}")
-    moment = _moments_2_over_eta(config, observing_tier)[source_tier]
-    return math.exp(
-        -_interference_exponent_one(config, observing_tier, source_tier, s, moment)
-    )
-
-
 def _outage_exponent(
     config: NetworkConfig,
     tier: int,
@@ -233,9 +197,15 @@ def _outage_exponent(
     noise_term: float,
     moments: list[float],
 ) -> float:
+    # noise term plus, per source tier k, the interference exponent
+    # 2 pi lambda_k s^(2/eta_j) E[P_k^(2/eta_j)] J(eta_j, (s rho_o_k)^(-1/eta_j)):
+    # an interferer is received below its own tier's cutoff
+    eta_j = config.tiers[tier].eta
     total = noise_term
-    for k in range(config.n_tiers):
-        total += _interference_exponent_one(config, tier, k, s, moments[k])
+    for src, moment in zip(config.tiers, moments):
+        lower = (s * src.rho_o) ** (-1.0 / eta_j)
+        tail = tail_interference_integral(eta_j, lower)
+        total += _TWO_PI * src.intensity * s ** (2.0 / eta_j) * moment * tail
     return total
 
 

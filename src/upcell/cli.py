@@ -54,14 +54,19 @@ EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
 EXIT_MISMATCH = 5
 
+# (CSV column, attribute of MetricsReport and SimulationReport)
+_METRICS = (
+    ("O_p", "truncation_outage"),
+    ("O_s", "sinr_outage"),
+    ("O_t", "total_outage"),
+    ("R_nats", "spectral_efficiency"),
+    ("R_eff_nats", "effective_spectral_efficiency"),
+    ("E_P_w", "mean_tx_power"),
+)
 BASE_COLUMNS = [
-    "tier", "rho_o_dbm", "lambda_per_km2", "eta", "theta_db",
-    "p_max_w", "noise_dbm", "O_p", "O_s", "O_t", "R_nats", "R_eff_nats", "E_P_w",
-]
-CI_COLUMNS = [
-    "O_p_ci95", "O_s_ci95", "O_t_ci95", "R_nats_ci95", "R_eff_nats_ci95",
-    "E_P_w_ci95",
-]
+    "tier", "rho_o_dbm", "lambda_per_km2", "eta", "theta_db", "p_max_w", "noise_dbm",
+] + [column for column, _ in _METRICS]
+CI_COLUMNS = [f"{column}_ci95" for column, _ in _METRICS]
 
 
 def _fmt(value) -> str:
@@ -129,15 +134,10 @@ def _tier_context(config: NetworkConfig, j: int) -> list:
     ]
 
 
-def _metric_values(report: MetricsReport) -> list:
-    return [
-        report.truncation_outage,
-        report.sinr_outage,
-        report.total_outage,
-        report.spectral_efficiency,
-        report.effective_spectral_efficiency,
-        report.mean_tx_power,
-    ]
+def _metric_values(report) -> list:
+    """The six metrics of a :class:`MetricsReport` or a
+    :class:`SimulationReport`, in ``_METRICS`` order."""
+    return [getattr(report, attr) for _, attr in _METRICS]
 
 
 def _write_csv(output: str, header: list[str], rows: list[list]) -> None:
@@ -161,37 +161,30 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _simulation_row(config: NetworkConfig, j: int, sim: SimulationReport) -> list:
-    estimates = [
-        sim.truncation_outage, sim.sinr_outage, sim.total_outage,
-        sim.spectral_efficiency, sim.effective_spectral_efficiency,
-        sim.mean_tx_power,
-    ]
-    return (
-        _tier_context(config, j)
-        + [e.mean for e in estimates]
-        + [e.half_width_95 for e in estimates]
-        + [sim.n_discarded]
-    )
-
-
-def cmd_simulate(args) -> int:
-    config, digest = _load_config(args)
+def _estimate(args, config: NetworkConfig) -> SimulationReport:
+    """Monte Carlo estimates for ``args``; raises :class:`SaturationError`
+    when more than half the realizations were discarded."""
     sim = estimate_metrics(
         config, args.iterations, args.seed, tier=args.tier, workers=args.workers
     )
     if sim.n_discarded > args.iterations / 2:
-        print(
-            f"simulate: {sim.n_discarded}/{args.iterations} realizations "
-            "discarded; configuration infeasible for saturation",
-            file=sys.stderr,
+        raise SaturationError(
+            f"{sim.n_discarded}/{args.iterations} realizations discarded"
         )
-        return EXIT_INFEASIBLE
-    _write_csv(
-        args.output,
-        BASE_COLUMNS + CI_COLUMNS + ["n_discarded"],
-        [_simulation_row(config, args.tier, sim)],
+    return sim
+
+
+def cmd_simulate(args) -> int:
+    config, digest = _load_config(args)
+    sim = _estimate(args, config)
+    estimates = _metric_values(sim)
+    row = (
+        _tier_context(config, args.tier)
+        + [e.mean for e in estimates]
+        + [e.half_width_95 for e in estimates]
+        + [sim.n_discarded]
     )
+    _write_csv(args.output, BASE_COLUMNS + CI_COLUMNS + ["n_discarded"], [row])
     _write_manifest(args.output, "simulate", digest, args.seed, args.iterations)
     print(
         f"simulate: {args.iterations} realizations "
@@ -200,48 +193,29 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _wilson_contains(value: float, mean: float, n: int) -> bool:
-    k = round(mean * n)
-    lo, hi = wilson_interval(k, n)
-    return lo <= value <= hi
+# the gated metrics of ``validate``: proportions pass inside their Wilson
+# interval or within 0.02, the rate inside its CI or within 3%
+_GATES = {"O_p": "proportion", "O_s": "proportion", "R_nats": "mean"}
 
 
 def cmd_validate(args) -> int:
     config, digest = _load_config(args)
     report = analytic.full_report(config, args.tier)
-    sim = estimate_metrics(
-        config, args.iterations, args.seed, tier=args.tier, workers=args.workers
-    )
-    if sim.n_discarded > args.iterations / 2:
-        print("validate: too many discarded realizations", file=sys.stderr)
-        return EXIT_INFEASIBLE
-
-    def prop_ok(value: float, est) -> bool:
-        return (
-            _wilson_contains(value, est.mean, est.n_samples)
-            or abs(value - est.mean) <= 0.02
-        )
-
+    sim = _estimate(args, config)
     rows, gate = [], {}
-    checks = [
-        ("O_p", report.truncation_outage, sim.truncation_outage, "proportion"),
-        ("O_s", report.sinr_outage, sim.sinr_outage, "proportion"),
-        ("O_t", report.total_outage, sim.total_outage, None),
-        ("R_nats", report.spectral_efficiency, sim.spectral_efficiency, "mean"),
-        ("R_eff_nats", report.effective_spectral_efficiency,
-         sim.effective_spectral_efficiency, None),
-        ("E_P_w", report.mean_tx_power, sim.mean_tx_power, None),
-    ]
-    for name, value, est, kind in checks:
+    values, estimates = _metric_values(report), _metric_values(sim)
+    for (name, _), value, est in zip(_METRICS, values, estimates):
         gap = abs(value - est.mean)
+        kind = _GATES.get(name)
         if kind == "proportion":
-            ok = prop_ok(value, est)
-            gate[name] = ok
+            lo, hi = wilson_interval(round(est.mean * est.n_samples), est.n_samples)
+            ok = lo <= value <= hi or gap <= 0.02
         elif kind == "mean":
             ok = gap <= est.half_width_95 or gap <= 0.03 * abs(value)
-            gate[name] = ok
         else:
             ok = gap <= est.half_width_95
+        if kind is not None:
+            gate[name] = ok
         rows.append([name, value, est.mean, est.half_width_95, gap, ok])
     _write_csv(
         args.output,
@@ -257,24 +231,29 @@ def cmd_validate(args) -> int:
     return EXIT_OK if agreed else EXIT_MISMATCH
 
 
-def _sweep_rows(config, tier, result) -> list[list]:
-    rows = []
-    for v, report, err in zip(result.values_dbm, result.reports, result.errors):
-        if report is None:
-            continue
-        ctx = _tier_context(config, tier)
-        ctx[1] = float(v)  # rho_o_dbm of the grid point
-        rows.append(ctx + _metric_values(report) + [False])
-    return rows
+def _sweep(args) -> tuple[NetworkConfig, str, optimize.SweepResult]:
+    config, digest = _load_config(args)
+    result = optimize.sweep(
+        config, args.tier, (args.grid_from, args.grid_to, args.steps), args.objective
+    )
+    return config, digest, result
 
 
-def _write_grid(args, digest: str, config: NetworkConfig, tier: int, result,
+def _write_grid(args, digest: str, config: NetworkConfig, result,
                 rho_star: float, value: float, report: MetricsReport) -> int:
     """Write the grid rows of ``result`` and the starred optimum row."""
-    star = _tier_context(config, tier)
-    star[1] = rho_star
-    rows = _sweep_rows(config, tier, result)
-    rows.append(star + _metric_values(report) + [True])
+    points = [
+        (float(v), grid_report, False)
+        for v, grid_report in zip(result.values_dbm, result.reports)
+        if grid_report is not None
+    ]
+    points.append((rho_star, report, True))
+    # each row carries its own cutoff in place of the config's
+    tier, _, *context = _tier_context(config, args.tier)
+    rows = [
+        [tier, rho_dbm] + context + _metric_values(r) + [starred]
+        for rho_dbm, r, starred in points
+    ]
     _write_csv(args.output, BASE_COLUMNS + ["is_optimum"], rows)
     _write_manifest(args.output, args.command, digest)
     print(
@@ -285,19 +264,13 @@ def _write_grid(args, digest: str, config: NetworkConfig, tier: int, result,
 
 
 def cmd_sweep(args) -> int:
-    config, digest = _load_config(args)
-    result = optimize.sweep(
-        config, args.tier, (args.grid_from, args.grid_to, args.steps), args.objective
-    )
-    return _write_grid(args, digest, config, args.tier, result,
+    config, digest, result = _sweep(args)
+    return _write_grid(args, digest, config, result,
                        result.argopt, result.opt_value, result.opt_report)
 
 
 def cmd_optimize(args) -> int:
-    config, digest = _load_config(args)
-    result = optimize.sweep(
-        config, args.tier, (args.grid_from, args.grid_to, args.steps), args.objective
-    )
+    config, digest, result = _sweep(args)
     spacing = (args.grid_to - args.grid_from) / (args.steps - 1)
     lo = max(args.grid_from, result.argopt - spacing)
     hi = min(args.grid_to, result.argopt + spacing)
@@ -307,7 +280,7 @@ def cmd_optimize(args) -> int:
     report = analytic.full_report(
         config.with_tier_rho_o(args.tier, dbm_to_watts(rho_star)), args.tier
     )
-    return _write_grid(args, digest, config, args.tier, result, rho_star, value, report)
+    return _write_grid(args, digest, config, result, rho_star, value, report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,12 +334,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "iterations", None) is not None and args.iterations < 100:
-        print(
-            f"error: --iterations must be at least 100, got {args.iterations}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:

@@ -21,7 +21,6 @@ __all__ = [
     "watts_to_dbm",
     "validate",
     "network_from_mapping",
-    "network_to_mapping",
 ]
 
 KM2_PER_M2 = 1e-6  # BS/km^2 -> BS/m^2
@@ -50,6 +49,16 @@ def watts_to_dbm(x_watts: float) -> float:
     return 10.0 * math.log10(x_watts) + 30.0
 
 
+def _to_si(errors: list, path: str, convert, value: float) -> float:
+    """``convert(value)``, or NaN and an error at ``path`` when the result
+    overflows a float."""
+    try:
+        return convert(value)
+    except OverflowError:
+        errors.append((path, f"{value!r} is too large to convert to linear units"))
+        return math.nan
+
+
 @dataclass(frozen=True)
 class TierConfig:
     """One network tier: BS intensity, power-control cutoff, SINR threshold,
@@ -68,12 +77,19 @@ class TierConfig:
         theta_db: float = 0.0,
         eta: float = 4.0,
     ) -> "TierConfig":
-        return cls(
+        """Tier from BS/km^2, dBm and dB.  Raises :class:`ConfigError`,
+        naming the argument, when a level is too large for its linear value
+        to be a float."""
+        errors: list[tuple[str, str]] = []
+        tier = cls(
             intensity=lambda_per_km2 * KM2_PER_M2,
-            rho_o=dbm_to_watts(rho_o_dbm),
-            theta=10.0 ** (theta_db / 10.0),
+            rho_o=_to_si(errors, "rho_o_dbm", dbm_to_watts, rho_o_dbm),
+            theta=_to_si(errors, "theta_db", lambda db: 10.0 ** (db / 10.0), theta_db),
             eta=eta,
         )
+        if errors:
+            raise ConfigError(errors)
+        return tier
 
 
 @dataclass(frozen=True)
@@ -247,7 +263,10 @@ class MetricsReport:
 #    "window_km": 20.0,
 #    "guard_km": null}
 
-_TIER_KEYS = ("lambda_per_km2", "rho_o_dbm", "theta_db", "eta")
+# None marks a required key
+_TIER_DEFAULTS = {
+    "lambda_per_km2": None, "rho_o_dbm": None, "theta_db": 0.0, "eta": 4.0,
+}
 _NETWORK_KEYS = ("tiers", "p_max_watts", "noise_dbm", "rho_min_dbm",
                  "window_km", "guard_km")
 
@@ -255,19 +274,22 @@ _NETWORK_KEYS = ("tiers", "p_max_watts", "noise_dbm", "rho_min_dbm",
 def _coerce(errors: list, path: str, value, allow_inf: bool = False) -> float:
     if isinstance(value, str) and value.strip().lower() in ("inf", "infinity") and allow_inf:
         return math.inf
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        errors.append((path, f"not a number: {value!r}"))
-        return math.nan
-    return v
+    # float(True) is 1.0, but a JSON boolean is no number
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    errors.append((path, f"not a number: {value!r}"))
+    return math.nan
 
 
 def network_from_mapping(mapping: Mapping) -> NetworkConfig:
     """Build and validate a :class:`NetworkConfig` from a parsed config file.
 
-    Collects every problem (unknown keys, malformed numbers, violated
-    invariants) into a single :class:`ConfigError`.
+    Collects every problem (unknown keys, malformed or out-of-range
+    numbers, and, once every tier table parsed, violated invariants) into a
+    single :class:`ConfigError`.
     """
     errors: list[tuple[str, str]] = []
     for key in mapping:
@@ -284,26 +306,22 @@ def network_from_mapping(mapping: Mapping) -> NetworkConfig:
             errors.append((base, "must be a table"))
             continue
         for key in entry:
-            if key not in _TIER_KEYS:
+            if key not in _TIER_DEFAULTS:
                 errors.append((f"{base}.{key}", "unknown key"))
-        tiers.append(
-            TierConfig(
-                intensity=_coerce(errors, f"{base}.lambda_per_km2",
-                                  entry.get("lambda_per_km2")) * KM2_PER_M2,
-                rho_o=dbm_to_watts(_coerce(errors, f"{base}.rho_o_dbm",
-                                           entry.get("rho_o_dbm"))),
-                theta=10.0 ** (_coerce(errors, f"{base}.theta_db",
-                                       entry.get("theta_db", 0.0)) / 10.0),
-                eta=_coerce(errors, f"{base}.eta", entry.get("eta", 4.0)),
-            )
-        )
+        try:
+            tiers.append(TierConfig.from_engineering(**{
+                key: _coerce(errors, f"{base}.{key}", entry.get(key, default))
+                for key, default in _TIER_DEFAULTS.items()
+            }))
+        except ConfigError as exc:
+            errors += [(f"{base}.{key}", msg) for key, msg in exc.errors]
     p_max = _coerce(errors, "p_max_watts", mapping.get("p_max_watts", 1.0), allow_inf=True)
     noise_dbm = mapping.get("noise_dbm", -90.0)
-    noise = 0.0 if noise_dbm is None else dbm_to_watts(
-        _coerce(errors, "noise_dbm", noise_dbm))
+    noise = 0.0 if noise_dbm is None else _to_si(
+        errors, "noise_dbm", dbm_to_watts, _coerce(errors, "noise_dbm", noise_dbm))
     rho_min_dbm = mapping.get("rho_min_dbm")
-    rho_min = 0.0 if rho_min_dbm is None else dbm_to_watts(
-        _coerce(errors, "rho_min_dbm", rho_min_dbm))
+    rho_min = 0.0 if rho_min_dbm is None else _to_si(
+        errors, "rho_min_dbm", dbm_to_watts, _coerce(errors, "rho_min_dbm", rho_min_dbm))
     window = _coerce(errors, "window_km", mapping.get("window_km", 20.0)) * 1000.0
     guard_km = mapping.get("guard_km")
     guard = None if guard_km is None else _coerce(errors, "guard_km", guard_km) * 1000.0
@@ -315,31 +333,13 @@ def network_from_mapping(mapping: Mapping) -> NetworkConfig:
         window_side=window,
         guard_margin=guard,
     )
-    try:
-        validate(config)
-    except ConfigError as exc:
-        errors = errors + exc.errors
+    # a skipped tier table would shift validate's tier indices
+    if len(tiers) == len(raw_tiers):
+        try:
+            validate(config)
+        except ConfigError as exc:
+            errors += exc.errors
     if errors:
         raise ConfigError(errors)
     return config
 
-
-def network_to_mapping(config: NetworkConfig) -> dict:
-    """Engineering-unit mapping for ``config`` (inverse of
-    :func:`network_from_mapping` up to float round trip)."""
-    return {
-        "tiers": [
-            {
-                "lambda_per_km2": t.intensity / KM2_PER_M2,
-                "rho_o_dbm": watts_to_dbm(t.rho_o),
-                "theta_db": 10.0 * math.log10(t.theta),
-                "eta": t.eta,
-            }
-            for t in config.tiers
-        ],
-        "p_max_watts": config.p_max,
-        "noise_dbm": watts_to_dbm(config.noise) if config.noise > 0 else None,
-        "rho_min_dbm": watts_to_dbm(config.rho_min) if config.rho_min > 0 else None,
-        "window_km": config.window_side / 1000.0,
-        "guard_km": None if config.guard_margin is None else config.guard_margin / 1000.0,
-    }

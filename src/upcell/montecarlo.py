@@ -42,7 +42,7 @@ from multiprocessing import get_context
 import numpy as np
 from scipy.spatial import ConvexHull, Delaunay, cKDTree
 
-from .model import MetricsReport, NetworkConfig
+from .model import NetworkConfig
 
 __all__ = [
     "SaturationError",
@@ -429,26 +429,16 @@ class SimulationReport:
     spectral_efficiency: EstimateWithCI
     effective_spectral_efficiency: EstimateWithCI
     mean_tx_power: EstimateWithCI
-    iterations: int
     n_discarded: int
-    seed: int
-
-    def point_report(self) -> MetricsReport:
-        return MetricsReport.from_components(
-            truncation_outage=self.truncation_outage.mean,
-            sinr_outage=self.sinr_outage.mean,
-            spectral_efficiency=self.spectral_efficiency.mean,
-            mean_tx_power=self.mean_tx_power.mean,
-        )
 
 
 def _run_chunk(args) -> np.ndarray:
-    config, seed, tagged_tier, max_batches, indices = args
+    config, seed, tagged_tier, indices = args
     out = np.empty((len(indices), 5))
     for row, i in enumerate(indices):
         rng = realization_rng(seed, i)
         try:
-            r = build_realization(config, rng, tagged_tier, max_batches)
+            r = build_realization(config, rng, tagged_tier)
         except SaturationError:
             out[row] = (0.0, np.nan, np.nan, np.nan, np.nan)
             continue
@@ -470,7 +460,6 @@ def estimate_metrics(
     *,
     tier: int | None = None,
     workers: int = 1,
-    max_batches: int = MAX_BATCHES_DEFAULT,
 ) -> SimulationReport:
     """Estimate the uplink metrics from ``iterations`` independent
     realizations.
@@ -496,7 +485,7 @@ def estimate_metrics(
     indices = np.arange(iterations)
     chunk_size = max(1, math.ceil(iterations / (workers * 8)))
     chunks = [
-        (config, seed, tier, max_batches, indices[i : i + chunk_size])
+        (config, seed, tier, indices[i : i + chunk_size])
         for i in range(0, iterations, chunk_size)
     ]
     if workers > 1:
@@ -536,7 +525,5 @@ def estimate_metrics(
         spectral_efficiency=rate,
         effective_spectral_efficiency=EstimateWithCI(eff_mean, eff_half, n_valid),
         mean_tx_power=power,
-        iterations=iterations,
         n_discarded=n_discarded,
-        seed=seed,
     )

@@ -71,7 +71,6 @@ class SweepResult:
     ``opt_value`` obey the smallest-cutoff tie rule on plateaus.
     """
 
-    objective: str
     values_dbm: np.ndarray
     reports: list[MetricsReport | None]
     errors: list[str | None]
@@ -124,7 +123,6 @@ def sweep(
     key = (lambda i: -scores[i]) if maximize else (lambda i: scores[i])
     best = min(finite, key=key)  # ties resolve to the smallest rho_o
     return SweepResult(
-        objective=objective,
         values_dbm=values,
         reports=reports,
         errors=errors,

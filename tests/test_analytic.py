@@ -1,5 +1,6 @@
 """Analytic metrics: transmit-power statistics, truncation outage, the
-interference Laplace transform, SINR outage, and spectral efficiency,
+interference Laplace transform (through the SINR outage it determines),
+SINR outage, and spectral efficiency,
 cross-checked against independently coded quadrature oracles and the
 closed forms available at eta = 4."""
 
@@ -13,13 +14,14 @@ from scipy import integrate
 from upcell import analytic
 from upcell.analytic import (
     TxPowerDistribution,
+    _fractional_moment,
     full_report,
-    interference_laplace,
     sinr_outage,
     spectral_efficiency,
     truncation_outage,
 )
 from upcell.model import NetworkConfig, TierConfig, dbm_to_watts, validate
+from upcell.specfun import tail_interference_integral
 
 # frozen from the independent oracles coded in this file (see the
 # corresponding tests); paper-style defaults lambda=2 BS/km^2,
@@ -205,24 +207,29 @@ class TestTruncationOutage:
 
 
 class TestInterferenceLaplace:
+    # the product of the per-tier interference Laplace transforms at
+    # s = theta/rho_o is the SINR survival 1 - O_s when the noise is zero
+
     def test_limits(self):
-        cfg = single_tier()
-        assert interference_laplace(cfg, 0, 0, 1e-280) == pytest.approx(1.0)
-        sparse = single_tier(lambda_per_km2=1e-12)
-        assert interference_laplace(sparse, 0, 0, 1e10) == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            interference_laplace(cfg, 0, 0, 0.0)
+        # O_s -> 0 as theta -> 0 (s = 1e-280 per watt) and as lambda -> 0
+        assert sinr_outage(replace(single_tier(theta_db=-2900.0), noise=0.0), 0) < 1e-12
+        sparse = replace(single_tier(lambda_per_km2=1e-12), noise=0.0)
+        assert sinr_outage(sparse, 0) < 1e-12
 
     def test_value_in_unit_interval(self):
-        cfg = single_tier()
-        for s in np.geomspace(1e6, 1e14, 9):
-            v = interference_laplace(cfg, 0, 0, s)
-            assert 0.0 < v <= 1.0
+        # s = theta/rho_o from 1e6 to 1e14 per watt; at the top 1 - O_s
+        # rounds to 0, so only the closed interval can be asserted
+        values = [
+            sinr_outage(replace(single_tier(theta_db=theta_db), noise=0.0), 0)
+            for theta_db in np.linspace(-40.0, 40.0, 9)
+        ]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert (np.diff(values) >= 0.0).all()
 
     def test_simplest_form_against_pgfl_oracle(self):
-        # single tier, eta=4, unbounded budget, s = theta/rho_o with theta=1:
-        # the transform must equal exp(-pi/4).  Oracle: raw double
-        # quadrature of the generating-functional exponent
+        # single tier, eta=4, unbounded budget, zero noise, theta = 1: the
+        # SINR survival must equal exp(-pi/4).  Oracle: raw double
+        # quadrature of the generating-functional exponent at s = 1/rho_o
         #   2 pi lambda int_p f_P(p) int_{(p/rho)^{1/4}}^inf
         #       (1 - 1/(1 + s p x^-4)) x dx dp
         # with f_P the unbounded-budget density.
@@ -247,14 +254,12 @@ class TestInterferenceLaplace:
         )
         oracle = math.exp(-2.0 * math.pi * lam * outer)
         np.testing.assert_allclose(oracle, math.exp(-math.pi / 4.0), rtol=1e-7)
-        cfg = single_tier(p_max=math.inf)
-        np.testing.assert_allclose(
-            interference_laplace(cfg, 0, 0, s), oracle, rtol=1e-7
-        )
+        cfg = interference_free_limit()
+        np.testing.assert_allclose(1.0 - sinr_outage(cfg, 0), oracle, rtol=1e-7)
 
     def test_survival_factorizes_over_tiers(self):
-        # with zero noise the SINR survival equals the product of the
-        # per-tier transforms
+        # with zero noise the SINR survival is exp(-sum_k of each tier's
+        # exponent 2 pi lambda_k s^(2/eta) E[P_k^(2/eta)] J(eta, (s rho_o_k)^(-1/eta)))
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(1.0, -70.0),
                    TierConfig.from_engineering(4.0, -80.0),
@@ -265,11 +270,15 @@ class TestInterferenceLaplace:
         j = 1
         t = cfg.tiers[j]
         s = t.theta / t.rho_o
-        product = math.prod(
-            interference_laplace(cfg, j, k, s) for k in range(cfg.n_tiers)
+        delta = 2.0 / t.eta
+        exponent = math.fsum(
+            2.0 * math.pi * src.intensity * s**delta
+            * _fractional_moment(cfg, k, delta)
+            * tail_interference_integral(t.eta, (s * src.rho_o) ** (-1.0 / t.eta))
+            for k, src in enumerate(cfg.tiers)
         )
         survival = 1.0 - sinr_outage(cfg, j)
-        np.testing.assert_allclose(product, survival, rtol=1e-12)
+        np.testing.assert_allclose(math.exp(-exponent), survival, rtol=1e-12)
 
 
 class TestSinrOutage:

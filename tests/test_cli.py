@@ -4,6 +4,7 @@ sidecars.  Commands are invoked in-process through ``main``."""
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +109,29 @@ class TestAnalyze:
         code = main(["analyze", "--config", paper_config, "--output",
                      str(tmp_path / "x.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "path", ["tiers[0].theta_db", "tiers[0].rho_o_dbm", "noise_dbm", "rho_min_dbm"]
+    )
+    def test_overflowing_level_exits_2(self, path, tmp_path, capsys):
+        cfg = json.loads(json.dumps(PAPER_CONFIG))
+        table, _, key = path.rpartition(".")
+        (cfg["tiers"][0] if table else cfg)[key] = 4000
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(cfg))
+        code = main(["analyze", "--config", str(config), "--output",
+                     str(tmp_path / "x.csv")])
+        assert code == 2
+        assert path in capsys.readouterr().err
+
+    def test_boolean_number_exits_2(self, tmp_path, capsys):
+        cfg = dict(PAPER_CONFIG, p_max_watts=True)
+        config = tmp_path / "bool.json"
+        config.write_text(json.dumps(cfg))
+        code = main(["analyze", "--config", str(config), "--output",
+                     str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "p_max_watts: not a number: True" in capsys.readouterr().err
 
     def test_digest_stable_under_key_order(self, tmp_path):
         a = tmp_path / "a.json"
@@ -278,3 +302,16 @@ class TestTierRange:
         assert [row[0] for row in rows] == ["1"]
         assert main(["analyze", "--config", str(path), "--output", str(out),
                      "--tier", "2"]) == 2
+
+
+def test_benchmark_trace_hooks_resolve(paper_config, tmp_path, monkeypatch):
+    # upbench patches upcell's layer boundaries by attribute name; entering
+    # the patch set fails on a renamed or deleted one
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "upbench"))
+    import spans
+
+    with spans.installed(spans.Tracer()) as tracer:
+        assert main(["analyze", "--config", paper_config, "--output",
+                     str(tmp_path / "a.csv")]) == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"analytic.full_report", "specfun.tail_interference_integral"} <= names

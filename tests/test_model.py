@@ -138,6 +138,43 @@ class TestMappingIngestion:
                  "lambda": 3.0}
             )
 
+    @pytest.mark.parametrize(
+        "path", ["tiers[0].theta_db", "tiers[0].rho_o_dbm", "noise_dbm", "rho_min_dbm"]
+    )
+    def test_overflowing_level_named(self, path):
+        # 10^(4000/10) overflows a float
+        mapping = {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0}]}
+        table, _, key = path.rpartition(".")
+        (mapping["tiers"][0] if table else mapping)[key] = 4000.0
+        with pytest.raises(ConfigError) as info:
+            network_from_mapping(mapping)
+        assert path in {p for p, _ in info.value.errors}
+
+    def test_from_engineering_names_overflowing_argument(self):
+        with pytest.raises(ConfigError) as info:
+            TierConfig.from_engineering(2.0, 3200.0, 4000.0)
+        assert [p for p, _ in info.value.errors] == ["rho_o_dbm", "theta_db"]
+
+    def test_booleans_are_not_numbers(self):
+        with pytest.raises(ConfigError) as info:
+            network_from_mapping(
+                {"tiers": [{"lambda_per_km2": True, "rho_o_dbm": -70.0}],
+                 "p_max_watts": True}
+            )
+        errors = dict(info.value.errors)
+        assert errors["tiers[0].lambda_per_km2"] == "not a number: True"
+        assert errors["p_max_watts"] == "not a number: True"
+
+    def test_skipped_tier_shifts_no_index(self):
+        # tier 1's exponent must not be reported as tier 0's
+        with pytest.raises(ConfigError) as info:
+            network_from_mapping(
+                {"tiers": ["macro", {"lambda_per_km2": 2.0, "rho_o_dbm": -70.0,
+                                     "eta": 2.0}]}
+            )
+        paths = {path for path, _ in info.value.errors}
+        assert "tiers[0]" in paths and "tiers[0].eta" not in paths
+
     def test_boundary_and_si_ingestion_agree(self):
         # identical analytic results whether the config came in engineering
         # units or was built directly in SI

@@ -67,6 +67,18 @@ class TestLowerIncompleteGamma:
                     err_msg=f"a={a}, b={b}",
                 )
 
+    def test_against_mpmath(self):
+        # b from 1e-12, where gamma(a, b) ~ b^a / a, to 1e3 and inf,
+        # where it is the complete Gamma(a)
+        for a in (0.5, 1.5, 3.0):
+            for b in [*np.geomspace(1e-12, 1e3, 31), math.inf]:
+                with mpmath.workdps(40):
+                    ref = float(mpmath.gammainc(a, 0, mpmath.mpf(b)))
+                np.testing.assert_allclose(
+                    lower_incomplete_gamma(a, b), ref, rtol=1e-13,
+                    err_msg=f"a={a}, b={b}",
+                )
+
     def test_monotone_in_b(self):
         bs = np.linspace(0.0, 12.0, 25)
         for a in (0.5, 1.0, 3.0, 7.5):
