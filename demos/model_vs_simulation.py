@@ -30,7 +30,6 @@ if __name__ == "__main__":
             tiers=[TierConfig.from_engineering(5.0, rho)],
             p_max_watts=1.0,
             noise_dbm=-90.0,
-            rho_min_dbm=None,
             window_km=WINDOW_KM,
         )
         t0 = time.time()

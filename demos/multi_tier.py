@@ -21,7 +21,6 @@ common = NetworkConfig.from_engineering(
     ],
     p_max_watts=1.0,
     noise_dbm=-90.0,
-    rho_min_dbm=None,
 )
 print("common exponent, distinct cutoffs:")
 for j, name in enumerate(("macro", "small")):
@@ -33,11 +32,11 @@ for j, name in enumerate(("macro", "small")):
 # Same cutoff everywhere: indistinguishable from one merged tier.
 merged_tiers = NetworkConfig.from_engineering(
     tiers=[TierConfig.from_engineering(lam, -70.0) for lam in (1.0, 10.0)],
-    p_max_watts=1.0, noise_dbm=-90.0, rho_min_dbm=None,
+    p_max_watts=1.0, noise_dbm=-90.0,
 )
 single = NetworkConfig.from_engineering(
     tiers=[TierConfig.from_engineering(11.0, -70.0)],
-    p_max_watts=1.0, noise_dbm=-90.0, rho_min_dbm=None,
+    p_max_watts=1.0, noise_dbm=-90.0,
 )
 print("\ncommon cutoff: two tiers vs merged single tier")
 print(f"  two-tier O_s = {analytic.sinr_outage(merged_tiers, 0):.10f}")
@@ -52,7 +51,6 @@ distinct = NetworkConfig.from_engineering(
     ],
     p_max_watts=1.0,
     noise_dbm=-90.0,
-    rho_min_dbm=None,
 )
 print("\ndistinct exponents (3.2 / 4.0):")
 for j in (0, 1):

@@ -29,7 +29,6 @@ def config_for(lambda_per_km2):
         tiers=[TierConfig.from_engineering(lambda_per_km2, -70.0)],
         p_max_watts=1.0,
         noise_dbm=-90.0,
-        rho_min_dbm=None,
     )
 
 

@@ -21,7 +21,6 @@ def config_for(rho_o_dbm):
         tiers=[TierConfig.from_engineering(2.0, rho_o_dbm)],
         p_max_watts=1.0,
         noise_dbm=-90.0,
-        rho_min_dbm=None,
     )
 
 

@@ -139,21 +139,31 @@ class NetworkConfig:
         cls,
         tiers: Iterable[TierConfig],
         p_max_watts: float = 1.0,
-        noise_dbm: float = -90.0,
-        rho_min_dbm: float | None = -90.0,
+        noise_dbm: float | None = -90.0,
+        rho_min_dbm: float | None = None,
         window_km: float = 20.0,
         guard_km: float | None = None,
     ) -> "NetworkConfig":
-        return validate(
-            cls(
-                tiers=tuple(tiers),
-                p_max=float(p_max_watts),
-                noise=dbm_to_watts(noise_dbm),
-                rho_min=0.0 if rho_min_dbm is None else dbm_to_watts(rho_min_dbm),
-                window_side=window_km * 1000.0,
-                guard_margin=None if guard_km is None else guard_km * 1000.0,
-            )
+        """Validated network from watts, dBm and km.  ``None`` means no
+        noise for ``noise_dbm``, no receiver-sensitivity floor for
+        ``rho_min_dbm`` and the automatic guard for ``guard_km``.  Raises
+        :class:`ConfigError`, naming the argument, when a level is too large
+        for its linear value to be a float, and otherwise for every violated
+        invariant."""
+        errors: list[tuple[str, str]] = []
+        config = cls(
+            tiers=tuple(tiers),
+            p_max=float(p_max_watts),
+            noise=0.0 if noise_dbm is None else _to_si(
+                errors, "noise_dbm", dbm_to_watts, noise_dbm),
+            rho_min=0.0 if rho_min_dbm is None else _to_si(
+                errors, "rho_min_dbm", dbm_to_watts, rho_min_dbm),
+            window_side=window_km * 1000.0,
+            guard_margin=None if guard_km is None else guard_km * 1000.0,
         )
+        if errors:
+            raise ConfigError(errors)
+        return validate(config)
 
 
 def _check_number(errors: list, path: str, value, allow_inf: bool = False) -> bool:
@@ -193,7 +203,6 @@ def validate(config: NetworkConfig) -> NetworkConfig:
         if (
             isinstance(t.rho_o, (int, float))
             and isinstance(config.rho_min, (int, float))
-            and not math.isnan(float(config.rho_min))
             and 0 < t.rho_o <= config.rho_min
         ):
             errors.append(
@@ -253,22 +262,21 @@ class MetricsReport:
 
 # --- structured config files -------------------------------------------------
 #
-# The on-disk schema mirrors the engineering-unit field names:
+# The on-disk keys are the arguments of the two ``from_engineering``
+# constructors, and an omitted key takes that argument's default:
 #
-#   {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0,
+#   {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0,  # required
 #               "theta_db": 0.0, "eta": 4.0}],
 #    "p_max_watts": 1.0,          # the string "inf" is accepted
-#    "noise_dbm": -90.0,
-#    "rho_min_dbm": -90.0,
+#    "noise_dbm": -90.0,          # null: noiseless
+#    "rho_min_dbm": null,         # omitted or null: no sensitivity floor
 #    "window_km": 20.0,
-#    "guard_km": null}
+#    "guard_km": null}            # omitted or null: automatic guard
 
-# None marks a required key
-_TIER_DEFAULTS = {
-    "lambda_per_km2": None, "rho_o_dbm": None, "theta_db": 0.0, "eta": 4.0,
-}
-_NETWORK_KEYS = ("tiers", "p_max_watts", "noise_dbm", "rho_min_dbm",
-                 "window_km", "guard_km")
+_REQUIRED_TIER_KEYS = ("lambda_per_km2", "rho_o_dbm")
+_TIER_KEYS = _REQUIRED_TIER_KEYS + ("theta_db", "eta")
+_NULLABLE_KEYS = ("noise_dbm", "rho_min_dbm", "guard_km")
+_NETWORK_KEYS = ("p_max_watts", "window_km") + _NULLABLE_KEYS
 
 
 def _coerce(errors: list, path: str, value, allow_inf: bool = False) -> float:
@@ -284,17 +292,31 @@ def _coerce(errors: list, path: str, value, allow_inf: bool = False) -> float:
     return math.nan
 
 
-def network_from_mapping(mapping: Mapping) -> NetworkConfig:
-    """Build and validate a :class:`NetworkConfig` from a parsed config file.
+def _parse(errors: list, table: Mapping, keys: Sequence[str], base: str = "") -> dict:
+    """Keyword arguments from the entries of ``table`` whose key is in
+    ``keys``; every other key, and every malformed number, is reported at
+    ``base`` + its key."""
+    kwargs = {}
+    for key, value in table.items():
+        path = f"{base}{key}"
+        if key not in keys:
+            errors.append((path, "unknown key"))
+        elif value is None and key in _NULLABLE_KEYS:
+            kwargs[key] = None
+        else:
+            kwargs[key] = _coerce(errors, path, value, allow_inf=key == "p_max_watts")
+    return kwargs
 
-    Collects every problem (unknown keys, malformed or out-of-range
-    numbers, and, once every tier table parsed, violated invariants) into a
-    single :class:`ConfigError`.
+
+def network_from_mapping(mapping: Mapping) -> NetworkConfig:
+    """Build a :class:`NetworkConfig` from a parsed config file through the
+    two ``from_engineering`` constructors.
+
+    Every unknown, missing or malformed key, and every tier level too large
+    to convert, goes into one :class:`ConfigError`; the network levels and
+    the invariants are checked once all of those parsed.
     """
     errors: list[tuple[str, str]] = []
-    for key in mapping:
-        if key not in _NETWORK_KEYS:
-            errors.append((key, "unknown key"))
     raw_tiers = mapping.get("tiers")
     if not isinstance(raw_tiers, Sequence) or isinstance(raw_tiers, (str, bytes)) or not raw_tiers:
         errors.append(("tiers", "must be a non-empty list of tier tables"))
@@ -305,41 +327,18 @@ def network_from_mapping(mapping: Mapping) -> NetworkConfig:
         if not isinstance(entry, Mapping):
             errors.append((base, "must be a table"))
             continue
-        for key in entry:
-            if key not in _TIER_DEFAULTS:
-                errors.append((f"{base}.{key}", "unknown key"))
-        try:
-            tiers.append(TierConfig.from_engineering(**{
-                key: _coerce(errors, f"{base}.{key}", entry.get(key, default))
-                for key, default in _TIER_DEFAULTS.items()
-            }))
-        except ConfigError as exc:
-            errors += [(f"{base}.{key}", msg) for key, msg in exc.errors]
-    p_max = _coerce(errors, "p_max_watts", mapping.get("p_max_watts", 1.0), allow_inf=True)
-    noise_dbm = mapping.get("noise_dbm", -90.0)
-    noise = 0.0 if noise_dbm is None else _to_si(
-        errors, "noise_dbm", dbm_to_watts, _coerce(errors, "noise_dbm", noise_dbm))
-    rho_min_dbm = mapping.get("rho_min_dbm")
-    rho_min = 0.0 if rho_min_dbm is None else _to_si(
-        errors, "rho_min_dbm", dbm_to_watts, _coerce(errors, "rho_min_dbm", rho_min_dbm))
-    window = _coerce(errors, "window_km", mapping.get("window_km", 20.0)) * 1000.0
-    guard_km = mapping.get("guard_km")
-    guard = None if guard_km is None else _coerce(errors, "guard_km", guard_km) * 1000.0
-    config = NetworkConfig(
-        tiers=tuple(tiers),
-        p_max=p_max,
-        noise=noise,
-        rho_min=rho_min,
-        window_side=window,
-        guard_margin=guard,
+        tier_errors = [(f"{base}.{key}", "missing key")
+                       for key in _REQUIRED_TIER_KEYS if key not in entry]
+        kwargs = _parse(tier_errors, entry, _TIER_KEYS, f"{base}.")
+        if not tier_errors:
+            try:
+                tiers.append(TierConfig.from_engineering(**kwargs))
+            except ConfigError as exc:
+                tier_errors = [(f"{base}.{key}", msg) for key, msg in exc.errors]
+        errors += tier_errors
+    network = _parse(
+        errors, {key: v for key, v in mapping.items() if key != "tiers"}, _NETWORK_KEYS
     )
-    # a skipped tier table would shift validate's tier indices
-    if len(tiers) == len(raw_tiers):
-        try:
-            validate(config)
-        except ConfigError as exc:
-            errors += exc.errors
     if errors:
         raise ConfigError(errors)
-    return config
-
+    return NetworkConfig.from_engineering(tiers, **network)

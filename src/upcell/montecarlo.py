@@ -61,6 +61,8 @@ MAX_BATCHES_DEFAULT = 50
 MAX_ROUND_POINTS = 2**16
 # Newton steps for the cross-tier bound; an unconverged root is discarded
 NEWTON_STEPS = 8
+# two-sided 95% standard normal quantile of every confidence interval
+_Z_95 = 1.96
 
 
 class SaturationError(RuntimeError):
@@ -212,8 +214,9 @@ class Realization:
 
     ``ue_*`` arrays describe the scheduled UEs, one per BS (a guard-ring
     BS still unresolved at the round cap has none); the tagged quantities
-    describe the measured link at the BS nearest the window centre.  ``tagged_fade`` and ``tagged_interference`` are stored so the
-    SINR identity can be re-checked exactly.
+    describe the measured link at the tier-``tagged_tier`` BS nearest the
+    window centre.  ``tagged_fade`` and ``tagged_interference`` are stored
+    so the SINR identity can be re-checked exactly.
     """
 
     bs_xy: np.ndarray          # (n_bs, 2) m
@@ -238,14 +241,13 @@ class Realization:
 def build_realization(
     config: NetworkConfig,
     rng: np.random.Generator,
-    tagged_tier: int | None = None,
+    tagged_tier: int = 0,
     max_batches: int = MAX_BATCHES_DEFAULT,
 ) -> Realization:
     """Run the full draw/schedule/measure protocol once.
 
-    The measured BS is the inner-window BS nearest the window centre;
-    ``tagged_tier`` restricts it to one tier, ``None`` draws from all
-    tiers.
+    The measured BS is the inner-window BS of tier ``tagged_tier`` nearest
+    the window centre.
     Raises :class:`SaturationError` when an inner-window BS is still
     unscheduled after ``max_batches`` proposal rounds, or when the window
     contains no usable BS.
@@ -273,7 +275,6 @@ def build_realization(
     inner = np.max(np.abs(bs_xy), axis=1) <= half_window
     if not inner.any():
         raise SaturationError("no base station inside the inner window")
-    targets = np.flatnonzero(inner)
 
     reach = (config.p_max / rhos) ** (1.0 / etas)
     radius, queried = _proposal_radius(tier_xy, trees, etas, reach, half_drop)
@@ -319,19 +320,15 @@ def build_realization(
     ue_xy = ue_xy[scheduled]
     ue_power = ue_power[scheduled]
 
-    if tagged_tier is None:
-        candidates = targets
-    else:
-        candidates = np.flatnonzero(inner & (bs_tier == tagged_tier))
-        if candidates.size == 0:
-            raise SaturationError(
-                f"no tier-{tagged_tier} base station inside the inner window"
-            )
+    candidates = np.flatnonzero(inner & (bs_tier == tagged_tier))
+    if candidates.size == 0:
+        raise SaturationError(
+            f"no tier-{tagged_tier} base station inside the inner window"
+        )
     centre_dist = np.hypot(bs_xy[candidates, 0], bs_xy[candidates, 1])
     tagged = int(candidates[np.argmin(centre_dist)])
-    tier_j = int(bs_tier[tagged])
-    eta_j = config.tiers[tier_j].eta
-    rho_j = config.tiers[tier_j].rho_o
+    eta_j = config.tiers[tagged_tier].eta
+    rho_j = config.tiers[tagged_tier].rho_o
 
     fade = float(rng.exponential())
     interferers = scheduled != tagged
@@ -345,11 +342,10 @@ def build_realization(
 
     # a single (2,) point: the probe is not a proposal round
     probe = rng.uniform(-half_window, half_window, size=2)
-    probe_tier, _, probe_weight = best_link(probe, trees, etas)
+    _, _, probe_weight = best_link(probe, trees, etas)
     # tier-specific truncation applies the tagged tier's cutoff to the
     # best-link weight, matching the analytic convention
-    probe_rho = rhos[tagged_tier if tagged_tier is not None else probe_tier]
-    probe_truncated = bool(probe_rho * probe_weight > config.p_max)
+    probe_truncated = bool(rho_j * probe_weight > config.p_max)
 
     tagged_pos = np.flatnonzero(scheduled == tagged)[0]
     return Realization(
@@ -359,7 +355,7 @@ def build_realization(
         ue_bs=scheduled,
         ue_power=ue_power,
         tagged_bs=tagged,
-        tagged_tier=tier_j,
+        tagged_tier=tagged_tier,
         tagged_sinr=float(sinr),
         tagged_fade=fade,
         tagged_interference=interference,
@@ -389,11 +385,12 @@ class EstimateWithCI:
     n_samples: int
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if n < 1:
         raise ValueError("Wilson interval requires at least one sample")
     p = successes / n
+    z = _Z_95
     denom = 1.0 + z * z / n
     centre = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n)) / denom
@@ -410,7 +407,7 @@ def _mean_estimate(values: np.ndarray) -> EstimateWithCI:
     mean = math.fsum(values) / n
     if n > 1:
         var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-        half = 1.96 * math.sqrt(var / n)
+        half = _Z_95 * math.sqrt(var / n)
     else:
         half = math.inf
     return EstimateWithCI(mean, half, n)
@@ -434,6 +431,7 @@ class SimulationReport:
 
 def _run_chunk(args) -> np.ndarray:
     config, seed, tagged_tier, indices = args
+    theta = config.tiers[tagged_tier].theta
     out = np.empty((len(indices), 5))
     for row, i in enumerate(indices):
         rng = realization_rng(seed, i)
@@ -442,7 +440,6 @@ def _run_chunk(args) -> np.ndarray:
         except SaturationError:
             out[row] = (0.0, np.nan, np.nan, np.nan, np.nan)
             continue
-        theta = config.tiers[r.tagged_tier].theta
         out[row] = (
             1.0,
             1.0 if r.tagged_sinr <= theta else 0.0,
@@ -458,7 +455,7 @@ def estimate_metrics(
     iterations: int,
     seed: int,
     *,
-    tier: int | None = None,
+    tier: int = 0,
     workers: int = 1,
 ) -> SimulationReport:
     """Estimate the uplink metrics from ``iterations`` independent
@@ -469,12 +466,11 @@ def estimate_metrics(
     is bitwise reproducible for a given (seed, iterations) whatever
     ``workers`` is, because every realization owns its own keyed stream
     and the reduction runs in realization order.  ``workers`` must be at
-    least 1, and ``tier`` (the measured tier, ``None`` for any) a tier
-    index of ``config``.
+    least 1, and ``tier`` (the measured tier) a tier index of ``config``.
     """
     if iterations < 100:
         raise ValueError(f"at least 100 iterations required, got {iterations}")
-    if tier is not None and not 0 <= tier < config.n_tiers:
+    if not 0 <= tier < config.n_tiers:
         raise ValueError(
             f"tier must be in [0, {config.n_tiers}) for this config, got {tier}"
         )

@@ -47,7 +47,6 @@ def single_tier(lambda_per_km2=2.0, rho_o_dbm=-70.0, theta_db=0.0, eta=4.0,
                                            theta_db, eta)],
         p_max_watts=p_max,
         noise_dbm=noise_dbm,
-        rho_min_dbm=None,
         window_km=window_km,
     )
 
@@ -175,7 +174,7 @@ def test_criterion_6_multi_tier_reduction():
     lambdas = (1.5, 4.0, 9.5)
     multi = NetworkConfig.from_engineering(
         tiers=[TierConfig.from_engineering(l, -70.0) for l in lambdas],
-        p_max_watts=1.0, noise_dbm=-90.0, rho_min_dbm=None,
+        p_max_watts=1.0, noise_dbm=-90.0,
     )
     merged = single_tier(lambda_per_km2=sum(lambdas))
     gap_os = max(
@@ -236,7 +235,6 @@ def test_criterion_8_property_suite(quadrature_tail):
     mixed = NetworkConfig.from_engineering(
         tiers=[TierConfig.from_engineering(2.0, -70.0, eta=3.0),
                TierConfig.from_engineering(5.0, -80.0, eta=4.5)],
-        rho_min_dbm=None,
     )
     dist_m = analytic.TxPowerDistribution(mixed, 0)
     checks.append(("mixture normalization", abs(dist_m.cdf(1.0) - 1.0) <= 1e-8))
@@ -274,7 +272,7 @@ def test_criterion_8_property_suite(quadrature_tail):
     # bitwise reproducibility across worker counts
     small = NetworkConfig.from_engineering(
         tiers=[TierConfig.from_engineering(20.0, -70.0)],
-        p_max_watts=1.0, noise_dbm=-90.0, rho_min_dbm=None,
+        p_max_watts=1.0, noise_dbm=-90.0,
         window_km=2.0, guard_km=0.5,
     )
     r1 = estimate_metrics(small, 120, seed=13, workers=1)

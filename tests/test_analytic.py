@@ -36,7 +36,6 @@ def single_tier(lambda_per_km2=2.0, rho_o_dbm=-70.0, theta_db=0.0, eta=4.0,
         tiers=[TierConfig.from_engineering(lambda_per_km2, rho_o_dbm, theta_db, eta)],
         p_max_watts=p_max,
         noise_dbm=noise_dbm,
-        rho_min_dbm=None,
         window_km=20.0,
     )
 
@@ -78,7 +77,6 @@ class TestTxPowerDistribution:
         two = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(0.8, -70.0),
                    TierConfig.from_engineering(1.2, -70.0)],
-            rho_min_dbm=None,
         )
         one = single_tier(lambda_per_km2=2.0)
         d2 = TxPowerDistribution(two, 0)
@@ -115,7 +113,6 @@ class TestTxPowerDistribution:
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(1.0, -70.0),
                    TierConfig.from_engineering(3.0, -75.0)],
-            rho_min_dbm=None,
         )
         for j in (0, 1):
             for alpha in (1.0, 0.5):
@@ -141,7 +138,6 @@ class TestTxPowerDistribution:
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(1.0, -120.0, eta=3.2),
                    TierConfig.from_engineering(10.0, -75.0, eta=4.0)],
-            rho_min_dbm=None,
         )
         np.testing.assert_allclose(
             TxPowerDistribution(cfg, 0).moment(1.0), 3.676180225271e-7,
@@ -153,7 +149,6 @@ class TestTxPowerDistribution:
             tiers=[TierConfig.from_engineering(1.0, -120.0),
                    TierConfig.from_engineering(10.0, -75.0)],
             p_max_watts=math.inf,
-            rho_min_dbm=None,
         )
         for j in (0, 1):
             for alpha in (0.5, 1.0):
@@ -167,7 +162,6 @@ class TestTxPowerDistribution:
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(2.0, -70.0, eta=3.0),
                    TierConfig.from_engineering(5.0, -80.0, eta=4.5)],
-            rho_min_dbm=None,
         )
         for j in (0, 1):
             dist = TxPowerDistribution(cfg, j)
@@ -264,7 +258,6 @@ class TestInterferenceLaplace:
             tiers=[TierConfig.from_engineering(1.0, -70.0),
                    TierConfig.from_engineering(4.0, -80.0),
                    TierConfig.from_engineering(0.5, -65.0)],
-            rho_min_dbm=None,
         )
         cfg = replace(cfg, noise=0.0)
         j = 1
@@ -316,7 +309,7 @@ class TestSinrOutage:
 
     def test_multi_tier_common_cutoff_reduces_to_merged_tier(self):
         tiers = [TierConfig.from_engineering(lam, -70.0) for lam in (1.0, 3.0, 7.0)]
-        multi = NetworkConfig.from_engineering(tiers=tiers, rho_min_dbm=None)
+        multi = NetworkConfig.from_engineering(tiers=tiers)
         merged = single_tier(lambda_per_km2=11.0)
         for j in range(3):
             np.testing.assert_allclose(
@@ -327,7 +320,6 @@ class TestSinrOutage:
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(1.0, -70.0),
                    TierConfig.from_engineering(3.0, -78.0)],
-            rho_min_dbm=None,
         )
         for j in (0, 1):
             a = sinr_outage(cfg, j)  # a common exponent: the closed form
@@ -340,7 +332,6 @@ class TestSinrOutage:
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(2.0, -70.0, eta=3.5),
                    TierConfig.from_engineering(6.0, -80.0, eta=4.0)],
-            rho_min_dbm=None,
         )
         for j in (0, 1):
             v = sinr_outage(cfg, j)
@@ -369,7 +360,6 @@ class TestSpectralEfficiency:
             cfg = NetworkConfig.from_engineering(
                 tiers=[TierConfig.from_engineering(l, -70.0) for l in lams],
                 p_max_watts=math.inf,
-                rho_min_dbm=None,
             )
             cfg = replace(cfg, noise=0.0)
             values.append(spectral_efficiency(cfg, 0))
@@ -384,7 +374,6 @@ class TestSpectralEfficiency:
             cfg = NetworkConfig.from_engineering(
                 tiers=[TierConfig.from_engineering(1.0, rho, eta=3.2),
                        TierConfig.from_engineering(10.0, -75.0, eta=4.0)],
-                rho_min_dbm=None,
             )
             np.testing.assert_allclose(
                 spectral_efficiency(cfg, 0), expected, rtol=1e-8,

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upcell import analytic
 from upcell.model import (
@@ -154,6 +156,54 @@ class TestMappingIngestion:
         with pytest.raises(ConfigError) as info:
             TierConfig.from_engineering(2.0, 3200.0, 4000.0)
         assert [p for p, _ in info.value.errors] == ["rho_o_dbm", "theta_db"]
+        for name in ("noise_dbm", "rho_min_dbm"):
+            with pytest.raises(ConfigError) as info:
+                paper_defaults(**{name: 4000.0})
+            assert [p for p, _ in info.value.errors] == [name]
+
+    @pytest.mark.parametrize("path", [
+        "tiers[0].lambda_per_km2", "tiers[0].rho_o_dbm", "tiers[0].theta_db",
+        "tiers[0].eta", "p_max_watts", "noise_dbm", "rho_min_dbm", "window_km",
+        "guard_km",
+    ])
+    def test_malformed_value_reported_once_under_its_key(self, path):
+        mapping = {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0}]}
+        table, _, key = path.rpartition(".")
+        (mapping["tiers"][0] if table else mapping)[key] = "x"
+        with pytest.raises(ConfigError) as info:
+            network_from_mapping(mapping)
+        assert info.value.errors == [(path, "not a number: 'x'")]
+
+    @pytest.mark.parametrize("key", ["lambda_per_km2", "rho_o_dbm"])
+    def test_missing_tier_key_reported_once(self, key):
+        tier = {"lambda_per_km2": 2.0, "rho_o_dbm": -70.0}
+        del tier[key]
+        with pytest.raises(ConfigError) as info:
+            network_from_mapping({"tiers": [tier]})
+        assert info.value.errors == [(f"tiers[0].{key}", "missing key")]
+
+    def test_range_checked_once_every_value_parsed(self):
+        # eta = 2 is out of range, but the malformed p_max is reported alone
+        mapping = {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0, "eta": 2.0}],
+                   "p_max_watts": "x"}
+        with pytest.raises(ConfigError) as info:
+            network_from_mapping(mapping)
+        assert [p for p, _ in info.value.errors] == ["p_max_watts"]
+        del mapping["p_max_watts"]
+        with pytest.raises(ConfigError) as info:
+            network_from_mapping(mapping)
+        assert [p for p, _ in info.value.errors] == ["tiers[0].eta"]
+
+    def test_omitted_sensitivity_sets_no_floor_on_both_routes(self):
+        # a -95 dBm cutoff would fail a -90 dBm floor
+        from_file = network_from_mapping(
+            {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -95.0}]}
+        )
+        from_python = NetworkConfig.from_engineering(
+            [TierConfig.from_engineering(2.0, -95.0)]
+        )
+        assert from_file == from_python
+        assert from_file.rho_min == 0.0
 
     def test_booleans_are_not_numbers(self):
         with pytest.raises(ConfigError) as info:
@@ -198,6 +248,36 @@ class TestMappingIngestion:
                 np.testing.assert_allclose(
                     getattr(a, field), getattr(b, field), rtol=1e-12
                 )
+
+
+# valid config files: 1-3 tiers whose cutoffs clear any sensitivity floor;
+# each optional key present or absent, and the nullable ones also null
+_TIER_TABLES = st.fixed_dictionaries(
+    {"lambda_per_km2": st.floats(0.01, 100.0), "rho_o_dbm": st.floats(-100.0, -40.0)},
+    optional={"theta_db": st.floats(-10.0, 10.0), "eta": st.floats(2.1, 6.0)},
+)
+_MAPPINGS = st.fixed_dictionaries(
+    {"tiers": st.lists(_TIER_TABLES, min_size=1, max_size=3)},
+    optional={
+        "p_max_watts": st.floats(0.01, 10.0) | st.just("inf"),
+        "noise_dbm": st.none() | st.floats(-150.0, -60.0),
+        "rho_min_dbm": st.none() | st.floats(-200.0, -101.0),
+        "window_km": st.floats(0.5, 50.0),
+        "guard_km": st.none() | st.floats(0.0, 5.0),
+    },
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MAPPINGS)
+def test_file_and_python_routes_agree(mapping):
+    network = {key: v for key, v in mapping.items() if key != "tiers"}
+    if network.get("p_max_watts") == "inf":
+        network["p_max_watts"] = math.inf
+    expected = NetworkConfig.from_engineering(
+        [TierConfig.from_engineering(**t) for t in mapping["tiers"]], **network
+    )
+    assert network_from_mapping(mapping) == expected
 
 
 class TestMetricsReport:

@@ -31,7 +31,6 @@ def small_config(lambda_per_km2=20.0, rho_o_dbm=-70.0, window_km=2.0,
         tiers=[TierConfig.from_engineering(lambda_per_km2, rho_o_dbm, 0.0, eta)],
         p_max_watts=p_max,
         noise_dbm=noise_dbm,
-        rho_min_dbm=None,
         window_km=window_km,
         guard_km=guard_km,
     )
@@ -65,7 +64,6 @@ def two_tier_config():
     return NetworkConfig.from_engineering(
         tiers=[TierConfig.from_engineering(10.0, -70.0, 0.0, 3.5),
                TierConfig.from_engineering(10.0, -72.0, 0.0, 4.0)],
-        rho_min_dbm=None,
         window_km=2.0,
         guard_km=0.3,
     )
@@ -75,7 +73,6 @@ def common_exponent_config():
     return NetworkConfig.from_engineering(
         tiers=[TierConfig.from_engineering(10.0, -70.0, 0.0, 4.0),
                TierConfig.from_engineering(10.0, -72.0, 0.0, 4.0)],
-        rho_min_dbm=None,
         window_km=2.0,
         guard_km=0.3,
     )
@@ -148,7 +145,6 @@ class TestAssociate:
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(1.0, -70.0, 0.0, 3.0),
                    TierConfig.from_engineering(1.0, -70.0, 0.0, 4.0)],
-            rho_min_dbm=None,
         )
         layout = np.array([[10.0, 0.0], [6.0, 0.0]]), np.array([0, 1])
         bs, tier, power = kernel(*layout, cfg)((0.0, 0.0))
@@ -526,7 +522,7 @@ class TestCrossTierBound:
         cfg = NetworkConfig.from_engineering(
             tiers=[TierConfig.from_engineering(1.0, -65.0, 0.0, 3.2),
                    TierConfig.from_engineering(10.0, -75.0, 0.0, 4.0)],
-            rho_min_dbm=None, window_km=1.0, guard_km=0.2,
+            window_km=1.0, guard_km=0.2,
         )
         macro = np.array([200.0, 0.0])
         layout = {cfg.tiers[0].intensity: macro[np.newaxis],

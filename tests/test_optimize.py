@@ -18,7 +18,6 @@ def defaults(**overrides):
         tiers=[TierConfig.from_engineering(2.0, -70.0)],
         p_max_watts=1.0,
         noise_dbm=-90.0,
-        rho_min_dbm=None,
         window_km=20.0,
     )
     kwargs.update(overrides)
