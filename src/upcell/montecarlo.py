@@ -8,10 +8,17 @@ Protocol per realization:
    eligible region: the points of the expanded window that the BS serves
    and whose channel-inversion power fits the budget.  Each BS draws
    rejection-sampling proposals uniformly in a disc that contains that
-   region, of radius min(reach, same-tier cell bound, cross-tier bound)
-   with reach (P_u / rho_o)^(1/eta).  The cross-tier bound holds for a BS
-   of a tier whose exponent exceeds another tier's, and shrinks as that
-   tier's nearest BS gets closer.  The BS keeps the first proposal that
+   region, of radius min(reach, cross-tier bound) with reach
+   (P_u / rho_o)^(1/eta).  The cross-tier bound holds for a BS of a tier
+   whose exponent exceeds another tier's, and shrinks as that tier's
+   nearest BS gets closer.  A tier whose discs hold more than
+   ``TRIANGULATE_ABOVE`` same-tier BSs on average (pi lambda_k times the
+   mean squared radius, lambda_k counted in the expanded window; on a
+   single tier, the exponent of O_p) also caps each radius by a Delaunay
+   bound on the BS's same-tier cell; below that, the cell bound seldom
+   shortens a disc and costs more than it saves.  Any disc that
+   holds the eligible region gives the same UE law, so the rule changes
+   speed, never the distribution.  The BS keeps the first proposal that
    lies in the window, is served by it, and fits the budget.  Unresolved
    BSs get twice as many proposals each round; a realization in which an
    inner-window BS is still unresolved after the round cap is discarded
@@ -19,7 +26,8 @@ Protocol per realization:
 3. Measure the BS nearest the window centre (a Slivnyak-style surrogate
    for the typical BS): its uplink is received at rho_o * h with h a
    unit-mean exponential fade, while every other scheduled UE interferes
-   with power P_i h_i d_i^(-eta_j).
+   with power P_i h_i d_i^(-eta_j).  A realization with an interfering
+   UE on the tagged BS itself (d_i = 0) is discarded and counted.
 4. Drop one independent probe UE in the inner window to sample the
    truncation-outage indicator.
 
@@ -30,7 +38,11 @@ decision, for the proposals and the probe alike.
 
 Reproducibility: realization ``i`` of a run uses a counter-based Philox
 stream keyed by ``(seed, i)``, so results are bitwise identical for a
-given (seed, iterations) regardless of the worker count.
+given (seed, iterations) regardless of the worker count.  Each stage draws
+from its own substream of it: the layout from the stream itself, the
+scheduler's proposals, the fades and the probe from jumps of it 2^128
+draws apart.  The fades are indexed by BS, so a change to the scheduler
+moves neither the layout, nor the probe and O_p, nor any link's fade.
 """
 
 from __future__ import annotations
@@ -61,13 +73,18 @@ MAX_BATCHES_DEFAULT = 50
 MAX_ROUND_POINTS = 2**16
 # Newton steps for the cross-tier bound; an unconverged root is discarded
 NEWTON_STEPS = 8
+# a tier's same-tier cell bounds are computed only when its proposal discs
+# hold more than this many of its BSs on average; below it the Delaunay
+# triangulation costs more than the proposals its bound would save
+TRIANGULATE_ABOVE = 4.0
 # two-sided 95% standard normal quantile of every confidence interval
 _Z_95 = 1.96
 
 
 class SaturationError(RuntimeError):
-    """An inner-window BS got no scheduled UE within the round cap, or the
-    window holds no usable BS."""
+    """An inner-window BS got no scheduled UE within the round cap, the
+    window holds no usable BS, or an interfering UE lies on the measured
+    BS."""
 
 
 def sample_ppp(
@@ -163,9 +180,11 @@ def _proposal_radius(tier_xy, trees, etas, reach, half):
     """Per BS, tiers concatenated, the radius of a disc about it that holds
     every point of [-half, half]^2 that it serves within its reach.
 
-    The radius is min(reach, same-tier cell bound, cross-tier bound): a BS
-    serves no point that a same-tier BS is nearer to, so its region lies
-    in its same-tier cell.  For a tier-k BS and a tier i with
+    The radius is min(reach, cross-tier bound), further capped by the
+    same-tier cell bound on a tier with pi lambda_k mean(radius^2) above
+    ``TRIANGULATE_ABOVE``, lambda_k its count over the square's area: a
+    BS serves no point that a same-tier BS is nearer to, so its region
+    lies in its same-tier cell.  For a tier-k BS and a tier i with
     eta_i < eta_k, let D be the distance from the BS to its nearest
     tier-i BS ``a``.  A point x at distance r that the BS serves has
     r^eta_k <= |x - a|^eta_i <= (D + r)^eta_i, so r is at most the root
@@ -178,15 +197,13 @@ def _proposal_radius(tier_xy, trees, etas, reach, half):
     different exponents.
     """
     counts = [len(p) for p in tier_xy]
-    radius = np.concatenate([
-        np.minimum(reach[k], _cell_bounds(p, half))
-        for k, p in enumerate(tier_xy) if len(p)
-    ])
-    present = etas[np.asarray(counts) > 0]
-    if present.min() == present.max():
-        return radius, False
+    radius = np.repeat(reach, counts)
     eta_bs = np.repeat(etas, counts)
-    dist, _ = _tier_distances(np.concatenate(tier_xy), trees)
+    # otherwise no BS has a non-empty lower-exponent tier, and the loop
+    # below skips every tier before it reads ``dist``
+    queried = bool(eta_bs.min() < eta_bs.max())
+    if queried:
+        dist, _ = _tier_distances(np.concatenate(tier_xy), trees)
     for i, eta_i in enumerate(etas):
         lower = eta_i < eta_bs
         if not (counts[i] and lower.any()):
@@ -205,7 +222,12 @@ def _proposal_radius(tier_xy, trees, etas, reach, half):
         root = np.exp(t) * (1.0 + 1e-9)
         ok = eta_k * np.log(root) >= eta_i * np.log(d + root)
         radius[lower] = np.where(ok, np.minimum(radius[lower], root), radius[lower])
-    return radius, True
+    density = np.asarray(counts) / (2.0 * half) ** 2
+    for k, start in enumerate(np.cumsum([0] + counts[:-1])):
+        own = radius[start : start + counts[k]]
+        if counts[k] and math.pi * density[k] * np.mean(own**2) > TRIANGULATE_ABOVE:
+            np.minimum(own, _cell_bounds(tier_xy[k], half), out=own)
+    return radius, queried
 
 
 @dataclass
@@ -249,13 +271,19 @@ def build_realization(
     The measured BS is the inner-window BS of tier ``tagged_tier`` nearest
     the window centre.
     Raises :class:`SaturationError` when an inner-window BS is still
-    unscheduled after ``max_batches`` proposal rounds, or when the window
-    contains no usable BS.
+    unscheduled after ``max_batches`` proposal rounds, when the window
+    contains no usable BS, or when an interfering UE lies on the measured
+    BS (infinite interference).
     """
     guard = config.effective_guard_margin()
     drop_side = config.window_side + 2.0 * guard
     half_drop = drop_side / 2.0
     half_window = config.window_side / 2.0
+    # the layout draws from ``rng`` itself, every later stage from its own
+    # jump of it, taken before any draw
+    schedule_rng, fade_rng, probe_rng = [
+        np.random.Generator(rng.bit_generator.jumped(k)) for k in (1, 2, 3)
+    ]
 
     tier_xy = [sample_ppp(t.intensity, drop_side, rng) for t in config.tiers]
     counts = [len(p) for p in tier_xy]
@@ -287,7 +315,7 @@ def build_realization(
     while pending.size and n_rounds < max_batches:
         m = max(1, min(2**n_rounds, MAX_ROUND_POINTS // pending.size))
         n_rounds += 1
-        u = rng.random((2, pending.size, m))
+        u = schedule_rng.random((2, pending.size, m))
         r = radius[pending, np.newaxis] * np.sqrt(u[0])
         angle = 2.0 * math.pi * u[1]
         pts = np.stack(
@@ -330,18 +358,22 @@ def build_realization(
     eta_j = config.tiers[tagged_tier].eta
     rho_j = config.tiers[tagged_tier].rho_o
 
-    fade = float(rng.exponential())
+    # one fade per BS: the link from its scheduled UE to the tagged BS
+    fades = fade_rng.exponential(size=n_bs)
+    fade = float(fades[tagged])
     interferers = scheduled != tagged
     d = np.hypot(
         ue_xy[interferers, 0] - bs_xy[tagged, 0],
         ue_xy[interferers, 1] - bs_xy[tagged, 1],
     )
-    h = rng.exponential(size=d.shape[0])
+    if not d.all():
+        raise SaturationError("an interfering UE sits on the tagged BS")
+    h = fades[scheduled[interferers]]
     interference = float(np.sum(ue_power[interferers] * h * d**-eta_j))
     sinr = rho_j * fade / (config.noise + interference)
 
     # a single (2,) point: the probe is not a proposal round
-    probe = rng.uniform(-half_window, half_window, size=2)
+    probe = probe_rng.uniform(-half_window, half_window, size=2)
     _, _, probe_weight = best_link(probe, trees, etas)
     # tier-specific truncation applies the tagged tier's cutoff to the
     # best-link weight, matching the analytic convention

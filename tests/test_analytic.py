@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from upcell import analytic
@@ -424,3 +426,62 @@ class TestFullReport:
         # mean power does depend on intensity
         powers = [r.mean_tx_power for r in reports]
         assert powers[0] > powers[1] > powers[2]
+
+
+# --- properties over random valid configs --------------------------------------
+
+_TIER = st.builds(
+    TierConfig.from_engineering,
+    lambda_per_km2=st.floats(0.1, 100.0),
+    rho_o_dbm=st.floats(-110.0, -40.0),
+    theta_db=st.floats(-10.0, 10.0),
+    eta=st.floats(2.5, 6.0),
+)
+_P_MAX = st.one_of(st.floats(0.01, 10.0), st.just(math.inf))
+_NOISE_DBM = st.one_of(st.none(), st.floats(-130.0, -70.0))
+
+
+@st.composite
+def _network_and_tier(draw):
+    config = NetworkConfig.from_engineering(
+        draw(st.lists(_TIER, min_size=1, max_size=3)),
+        p_max_watts=draw(_P_MAX),
+        noise_dbm=draw(_NOISE_DBM),
+    )
+    return config, draw(st.integers(0, config.n_tiers - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_network_and_tier())
+def test_outages_are_probabilities(case):
+    report = full_report(*case)
+    for value in (report.truncation_outage, report.sinr_outage,
+                  report.total_outage):
+        assert 0.0 <= value <= 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TIER, st.floats(0.1, 20.0), _P_MAX, _NOISE_DBM)
+def test_cutoff_raises_truncation_and_lowers_sinr_outage(tier, step_db, p_max,
+                                                         noise_dbm):
+    low, high = (
+        NetworkConfig.from_engineering(
+            [replace(tier, rho_o=tier.rho_o * 10.0 ** (db / 10.0))],
+            p_max_watts=p_max, noise_dbm=noise_dbm)
+        for db in (0.0, step_db)
+    )
+    assert truncation_outage(high, 0) >= truncation_outage(low, 0)
+    assert sinr_outage(high, 0) <= sinr_outage(low, 0) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TIER, st.floats(0.1, 100.0), _NOISE_DBM)
+def test_sinr_outage_independent_of_intensity_without_budget(tier, lambda_per_km2,
+                                                             noise_dbm):
+    first, second = (
+        NetworkConfig.from_engineering([t], p_max_watts=math.inf,
+                                       noise_dbm=noise_dbm)
+        for t in (tier, replace(tier, intensity=lambda_per_km2 * 1e-6))
+    )
+    assert sinr_outage(second, 0) == pytest.approx(sinr_outage(first, 0),
+                                                   rel=1e-9, abs=1e-12)

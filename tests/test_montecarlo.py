@@ -294,6 +294,20 @@ class TestSaturation:
             d = np.hypot(*(r.ue_xy - r.bs_xy[r.ue_bs]).T)
             assert (d <= reach).all() and reach < 5.7
 
+    def test_interferer_on_tagged_bs_raises(self, monkeypatch):
+        # a tier-0 BS on the site of the tagged tier-1 BS, its proposals
+        # forced onto that site: its UE interferes from d = 0
+        cfg = NetworkConfig.from_engineering(
+            tiers=[TierConfig.from_engineering(1.0, -65.0, 0.0, 3.2),
+                   TierConfig.from_engineering(1.0, -75.0, 0.0, 4.0)],
+            window_km=1.0, guard_km=0.2,
+        )
+        monkeypatch.setattr(montecarlo, "sample_ppp", lambda *args: np.zeros((1, 2)))
+        monkeypatch.setattr(montecarlo, "_proposal_radius",
+                            lambda *args: (np.array([0.0, 0.5]), True))
+        with pytest.raises(SaturationError, match="on the tagged BS"):
+            build_realization(cfg, realization_rng(0, 0), tagged_tier=1)
+
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
             estimate_metrics(small_config(), 50, seed=0)
@@ -405,6 +419,30 @@ def cross_tier_root(d, eta_i, eta_k):
     return math.exp(brentq(g, 0.0, hi, xtol=1e-15))
 
 
+def radius_without_cross_bound(tier_xy, etas, reach, half):
+    """Per BS, the proposal radius that the cross-tier bound leaves alone,
+    and per tier whether the cell bound applies: it does when
+    pi n_k / (2 half)^2 times the mean of min(reach, r*)^2 over the tier
+    exceeds ``TRIANGULATE_ABOVE``, r* the least cross-tier root
+    (bracketed)."""
+    trees = [cKDTree(p) if len(p) else None for p in tier_xy]
+    old, cells = [], []
+    for k, sites in enumerate(tier_xy):
+        if not len(sites):
+            continue
+        cut = np.full(len(sites), reach[k])
+        for b, site in enumerate(sites):
+            for i, eta_i in enumerate(etas):
+                if eta_i < etas[k] and trees[i] is not None:
+                    d = trees[i].query(site)[0]
+                    cut[b] = min(cut[b], cross_tier_root(d, eta_i, etas[k]))
+        load = math.pi * len(sites) / (2.0 * half) ** 2 * np.mean(cut**2)
+        cells.append(load > montecarlo.TRIANGULATE_ABOVE)
+        old.append(np.minimum(reach[k], montecarlo._cell_bounds(sites, half))
+                   if cells[-1] else np.full(len(sites), reach[k]))
+    return np.concatenate(old), cells
+
+
 class TestCrossTierBound:
     # a BS of a higher-exponent tier serves no point beyond r*, the root
     # of eta_k ln r - eta_i ln(D + r), D the distance to its nearest BS of
@@ -424,10 +462,7 @@ class TestCrossTierBound:
             radius, queried = montecarlo._proposal_radius(
                 tier_xy, trees, etas, reach, self.HALF)
             assert queried
-            old = np.concatenate([
-                np.minimum(reach[k], montecarlo._cell_bounds(p, self.HALF))
-                for k, p in enumerate(tier_xy)
-            ])
+            old, _ = radius_without_cross_bound(tier_xy, etas, reach, self.HALF)
             yield tier_xy, etas, reach, trees, radius, old
 
     def test_served_points_lie_within_radius(self):
@@ -486,29 +521,64 @@ class TestCrossTierBound:
             tier_xy, trees, etas, np.full(2, np.inf), self.HALF)
         assert radius[1] == pytest.approx(1.0, rel=2e-9) and radius[1] >= 1.0
 
-    @pytest.mark.parametrize("config", [small_config(), common_exponent_config()],
-                             ids=["single", "common"])
-    def test_single_exponent_radius_untouched(self, config):
-        rng = realization_rng(42, 0)
+    @staticmethod
+    def drawn_layout(config, index):
+        """The PPP layout of realization ``index`` at seed 42, with the
+        arguments of the proposal radius."""
+        rng = realization_rng(42, index)
         half = config.window_side / 2.0 + config.effective_guard_margin()
         tier_xy = [sample_ppp(t.intensity, 2.0 * half, rng) for t in config.tiers]
         etas = np.array([t.eta for t in config.tiers])
         reach = np.array([(config.p_max / t.rho_o) ** (1.0 / t.eta)
                           for t in config.tiers])
-        radius, queried = montecarlo._proposal_radius(
-            tier_xy, [cKDTree(p) for p in tier_xy], etas, reach, half)
+        return tier_xy, [cKDTree(p) for p in tier_xy], etas, reach, half
+
+    # pi lambda_k reach_k^2 is 6.8 (single), 2.1 (single, -60 dBm) and
+    # 3.5 / 3.3 or 3.1 / 4.9 (common, realization 0 or 1)
+    @pytest.mark.parametrize("config, index, cells", [
+        (small_config(), 0, [True]),
+        (small_config(rho_o_dbm=-60.0), 0, [False]),
+        (common_exponent_config(), 0, [False, False]),
+        (common_exponent_config(), 1, [False, True]),
+    ], ids=["single", "single-reach", "common", "common-mixed"])
+    def test_single_exponent_radius_untouched(self, config, index, cells):
+        tier_xy, trees, etas, reach, half = self.drawn_layout(config, index)
+        radius, queried = montecarlo._proposal_radius(tier_xy, trees, etas, reach, half)
         assert not queried
-        np.testing.assert_array_equal(radius, np.concatenate([
-            np.minimum(reach[k], montecarlo._cell_bounds(p, half))
-            for k, p in enumerate(tier_xy)
-        ]))
+        old, applied = radius_without_cross_bound(tier_xy, etas, reach, half)
+        assert applied == cells
+        np.testing.assert_array_equal(radius, old)
+
+    @pytest.mark.parametrize("config", [small_config(rho_o_dbm=-60.0),
+                                        common_exponent_config()],
+                             ids=["single", "common"])
+    def test_served_points_lie_within_skipped_radius(self, config):
+        # layouts on which the rule leaves some tier without its cell bound
+        rng = np.random.default_rng(3)
+        n_points = 0
+        for index in range(5):
+            tier_xy, trees, etas, reach, half = self.drawn_layout(config, index)
+            radius, _ = montecarlo._proposal_radius(tier_xy, trees, etas, reach, half)
+            _, applied = radius_without_cross_bound(tier_xy, etas, reach, half)
+            assert not all(applied)
+            sites = np.concatenate(tier_xy)
+            offsets = np.cumsum([0] + [len(p) for p in tier_xy[:-1]])
+            points = rng.uniform(-half, half, size=(20000, 2))
+            tier, local, _ = best_link(points, trees, etas)
+            served = offsets[tier] + local
+            d = np.hypot(*(points - sites[served]).T)
+            eligible = d <= reach[tier]
+            assert (d[eligible] <= radius[served[eligible]]).all()
+            n_points += np.count_nonzero(eligible)
+        assert n_points > 50000
 
     @pytest.mark.parametrize("config, expected", [
-        (small_config(), [(9, 1502), (5, 936), (5, 859)]),
-        (common_exponent_config(), [(6, 1276), (7, 1998), (6, 1457)]),
+        (small_config(), [(9, 1762), (6, 1056), (5, 847)]),
+        (common_exponent_config(), [(6, 1668), (7, 1478), (8, 2053)]),
     ], ids=["single", "common"])
     def test_single_exponent_counts_untouched(self, config, expected):
-        # rounds and proposals of the sampler without the cross-tier bound
+        # rounds and proposals of the sampler without the cross-tier bound,
+        # on the scheduler's own stream
         counts = []
         for i in range(3):
             r = build_realization(config, realization_rng(42, i))
@@ -565,6 +635,41 @@ class TestReproducibility:
         np.testing.assert_array_equal(a.bs_xy, b.bs_xy)
         np.testing.assert_array_equal(a.ue_xy, b.ue_xy)
         assert a.tagged_sinr == b.tagged_sinr
+
+    @pytest.mark.parametrize("config", [small_config(), two_tier_config()],
+                             ids=["single", "mixed"])
+    def test_scheduler_moves_no_other_stage(self, config, monkeypatch):
+        # one layout scheduled with every cell bound and with none: the
+        # proposals differ, the layout, probe and per-BS fades do not
+        probes = []
+
+        def recording_link(points, trees, etas):
+            if np.ndim(points) == 1:
+                probes.append(np.array(points))
+            return best_link(points, trees, etas)
+
+        monkeypatch.setattr(montecarlo, "best_link", recording_link)
+        runs = []
+        for cutoff in (0.0, math.inf):
+            monkeypatch.setattr(montecarlo, "TRIANGULATE_ABOVE", cutoff)
+            runs.append(build_realization(config, realization_rng(3, 5)))
+        a, b = runs
+        assert a.n_ue_dropped != b.n_ue_dropped
+        assert not np.array_equal(a.ue_xy, b.ue_xy)
+        np.testing.assert_array_equal(a.bs_xy, b.bs_xy)
+        np.testing.assert_array_equal(probes[0], probes[1])
+        assert a.probe_truncated == b.probe_truncated
+        assert a.tagged_fade == b.tagged_fade
+        # BS b's fade is draw b of the fade stream, the second jump
+        fades = np.random.Generator(
+            realization_rng(3, 5).bit_generator.jumped(2)).exponential(size=len(a.bs_xy))
+        for r in runs:
+            assert r.tagged_fade == fades[r.tagged_bs]
+            mask = r.ue_bs != r.tagged_bs
+            d = np.hypot(*(r.ue_xy[mask] - r.bs_xy[r.tagged_bs]).T)
+            eta_j = config.tiers[r.tagged_tier].eta
+            expected = np.sum(r.ue_power[mask] * fades[r.ue_bs[mask]] * d**-eta_j)
+            assert r.tagged_interference == pytest.approx(expected, rel=1e-12)
 
     def test_report_bitwise_stable_across_workers(self):
         cfg = small_config()
