@@ -382,6 +382,29 @@ class TestSpectralEfficiency:
                 err_msg=f"rho_o={rho} dBm",
             )
 
+    def test_rate_integrand_reaches_module_tail(self, monkeypatch):
+        # the rate integrand looks J up as analytic.tail_interference_integral
+        # and hands it every node at once, so a stand-in patched there (the
+        # quadrature J of the cross-checks) sees the whole rule
+        cfg = NetworkConfig.from_engineering(
+            tiers=[TierConfig.from_engineering(1.0, -70.0, eta=3.2),
+                   TierConfig.from_engineering(10.0, -75.0, eta=4.0)],
+        )
+        expected = spectral_efficiency(cfg, 0)
+        seen = []
+
+        def counting(eta, a):
+            seen.append(np.size(a))
+            return tail_interference_integral(eta, a)
+
+        monkeypatch.setattr(analytic, "tail_interference_integral", counting)
+        assert spectral_efficiency(cfg, 0) == expected
+        assert len(seen) == cfg.n_tiers and seen[0] == seen[1]
+        assert seen[0] % 21 == 0 and seen[0] > 21
+        monkeypatch.setattr(analytic, "tail_interference_integral",
+                            lambda eta, a: 2.0 * tail_interference_integral(eta, a))
+        assert spectral_efficiency(cfg, 0) < expected
+
     def test_closed_form_vs_quadrature(self, monkeypatch, quadrature_tail):
         cfg = single_tier()
         a = spectral_efficiency(cfg, 0)
@@ -485,3 +508,58 @@ def test_sinr_outage_independent_of_intensity_without_budget(tier, lambda_per_km
     )
     assert sinr_outage(second, 0) == pytest.approx(sinr_outage(first, 0),
                                                    rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_network_and_tier())
+def test_fixed_rule_matches_adaptive_references(reference_rate,
+                                                reference_mixture_moment, case):
+    config, tier = case
+    np.testing.assert_allclose(spectral_efficiency(config, tier),
+                               reference_rate(config, tier), rtol=1e-9)
+    for alpha in (2.0 / config.tiers[tier].eta, 1.0):
+        np.testing.assert_allclose(
+            analytic._mixture_moment(config, tier, alpha),
+            reference_mixture_moment(config, tier, alpha), rtol=1e-9,
+            err_msg=f"alpha={alpha}",
+        )
+
+
+_REPORT_FIELDS = ("truncation_outage", "sinr_outage", "total_outage",
+                  "spectral_efficiency", "effective_spectral_efficiency",
+                  "mean_tx_power")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TIER, st.lists(st.floats(0.1, 100.0), min_size=2, max_size=3), _P_MAX,
+       _NOISE_DBM)
+def test_tiers_alike_but_for_intensity_merge(tier, intensities, p_max,
+                                             noise_dbm):
+    # tiers that share cutoff, threshold and exponent act as one tier
+    # with the summed intensity
+    multi, merged = (
+        NetworkConfig.from_engineering(
+            [replace(tier, intensity=lam * 1e-6) for lam in lams],
+            p_max_watts=p_max, noise_dbm=noise_dbm)
+        for lams in (intensities, [math.fsum(intensities)])
+    )
+    want = full_report(merged, 0)
+    for j in range(multi.n_tiers):
+        got = full_report(multi, j)
+        for field in _REPORT_FIELDS:
+            assert getattr(got, field) == pytest.approx(
+                getattr(want, field), rel=1e-9, abs=1e-12), (j, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_TIER, min_size=1, max_size=3), st.floats(2.5, 6.0), _P_MAX)
+def test_mixture_moment_matches_closed_form_at_one_exponent(tiers, eta, p_max):
+    config = NetworkConfig.from_engineering(
+        [replace(t, eta=eta) for t in tiers], p_max_watts=p_max)
+    for j in range(config.n_tiers):
+        for alpha in (2.0 / eta, 1.0):
+            np.testing.assert_allclose(
+                analytic._mixture_moment(config, j, alpha),
+                analytic._common_moment(config, j, alpha), rtol=1e-9,
+                err_msg=f"tier {j}, alpha={alpha}",
+            )

@@ -1,6 +1,7 @@
 """Numerical-kernel tests: incomplete gamma, the interference tail
-integral, and the adaptive quadrature wrappers, each cross-checked
-against independently coded fixed-order oracles."""
+integral, the fixed Gauss-Kronrod rule and the adaptive quadrature
+wrappers, each cross-checked against independently coded fixed-order
+oracles."""
 
 import math
 import sys
@@ -9,9 +10,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from upcell import specfun
 from upcell.specfun import (
     QuadratureError,
     integrate_interval,
+    integrate_panels,
     integrate_semi_infinite,
     lower_incomplete_gamma,
     tail_interference_integral,
@@ -24,6 +27,15 @@ GAMMA_2_1 = 0.26424111765711517
 # J(3, 0.5) from composite Simpson on [0.5, 50] with 2^16 panels plus the
 # alternating series tail sum_m (-1)^m / ((3m+1) 50^(3m+1))
 J_3_HALF = 1.0900017302284664
+
+
+def small_oscillating(x):
+    # 1e-13 e^-x (1 + 0.5 sin 50x), whose integral over [0, inf) is
+    # 1e-13 (1 + 25/2501): far below an absolute tolerance of 1e-12
+    return 1e-13 * np.exp(-x) * (1.0 + 0.5 * np.sin(50.0 * x))
+
+
+SMALL_OSCILLATING_INTEGRAL = 1e-13 * (1.0 + 25.0 / 2501.0)
 
 
 class TestLowerIncompleteGamma:
@@ -192,6 +204,22 @@ class TestTailInterferenceIntegral:
                 err_msg=f"eta={eta}, a={a}",
             )
 
+    @pytest.mark.parametrize("eta", [3.5, 4.0])
+    def test_elementwise_over_arrays(self, eta):
+        a = np.array([[0.0, 1e-3, 0.5, 0.99], [1.0, 3.0, 1e30, math.inf]])
+        got = tail_interference_integral(eta, a)
+        assert got.shape == a.shape
+        for x, j in zip(a.flat, got.flat):
+            assert j == tail_interference_integral(eta, float(x))
+        assert type(tail_interference_integral(eta, 0.5)) is float
+        assert type(tail_interference_integral(eta, np.float64(2.0))) is float
+
+    def test_array_domain_errors(self):
+        with pytest.raises(ValueError):
+            tail_interference_integral(3.5, np.array([1.0, -0.5]))
+        with pytest.raises(ValueError):
+            tail_interference_integral(4.0, np.array([0.5, math.nan]))
+
     def test_divergent_exponent_rejected(self):
         with pytest.raises(ValueError):
             tail_interference_integral(2.0, 1.0)
@@ -235,4 +263,71 @@ class TestIntegrateInterval:
         # integrable x^(-1/2) singularity, as in the power densities
         val = integrate_interval(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
         np.testing.assert_allclose(val, 2.0, rtol=1e-9)
+
+    def test_tolerance_is_relative(self):
+        # an absolute 1e-12 acceptance returned 1.109e-13 here, 10% high
+        val = integrate_interval(lambda x: float(small_oscillating(x)),
+                                 0.0, math.inf)
+        np.testing.assert_allclose(val, SMALL_OSCILLATING_INTEGRAL, rtol=1e-9)
+
+
+class TestIntegratePanels:
+    def test_rule_constants(self):
+        # the embedded rule is 10-point Gauss-Legendre; the Kronrod rule
+        # integrates monomials exactly up to degree 31, the Gauss rule up
+        # to degree 19 (odd ones vanish by symmetry)
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(specfun._KRONROD_NODES[1::2], nodes,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(specfun._GAUSS_WEIGHTS, weights,
+                                   rtol=0, atol=1e-15)
+        x = specfun._KRONROD_NODES
+        for k in range(0, 40, 2):
+            exact = 2.0 / (k + 1)
+            kronrod = specfun._KRONROD_WEIGHTS @ x**k
+            gauss = specfun._GAUSS_WEIGHTS @ x[1::2] ** k
+            assert (abs(kronrod - exact) <= 1e-14) == (k <= 31), k
+            assert (abs(gauss - exact) <= 1e-14) == (k <= 19), k
+
+    def test_one_call_on_all_nodes(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return np.exp(-x)
+
+        val = integrate_panels(f, 0.0, 40.0)
+        np.testing.assert_allclose(val, -math.expm1(-40.0), rtol=1e-14)
+        assert len(calls) == 1 and calls[0][0] % 21 == 0
+
+    def test_known_integrals(self):
+        np.testing.assert_allclose(integrate_panels(np.sin, 0.0, math.pi), 2.0,
+                                   rtol=1e-14)
+        np.testing.assert_allclose(
+            integrate_panels(lambda x: 1.0 / (1.0 + x * x), -3.0, 3.0),
+            2.0 * math.atan(3.0), rtol=1e-13,
+        )
+        assert integrate_panels(np.zeros_like, 0.0, 5.0) == 0.0
+
+    def test_tolerance_is_relative(self):
+        # a resolved integral of size 1e-13 keeps 1e-10 relative accuracy:
+        # int_0^40 e^-x (1 + 0.5 sin x) dx = (1 - e^-40)
+        #   + (1 - e^-40 (sin 40 + cos 40)) / 4
+        tail = math.exp(-40.0)
+        exact = (1.0 - tail) + 0.25 * (
+            1.0 - tail * (math.sin(40.0) + math.cos(40.0)))
+        val = integrate_panels(
+            lambda x: 1e-13 * np.exp(-x) * (1.0 + 0.5 * np.sin(x)), 0.0, 40.0)
+        np.testing.assert_allclose(val, 1e-13 * exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e13])
+    def test_unresolved_integrand_raises(self, scale):
+        # sin 50x is far narrower than a panel: the error estimate misses
+        # the tolerance whatever the size of the integral
+        with pytest.raises(QuadratureError):
+            integrate_panels(lambda x: scale * small_oscillating(x), 0.0, 40.0)
+
+    def test_non_finite_value_raises(self):
+        with pytest.raises(QuadratureError):
+            integrate_panels(lambda x: np.where(x > 1.0, np.nan, 1.0), 0.0, 2.0)
 
