@@ -202,20 +202,24 @@ def cmd_validate(args) -> int:
     config, digest = _load_config(args)
     report = analytic.full_report(config, args.tier)
     sim = _estimate(args, config)
-    rows, gate = [], {}
+    rows, gate, slack = [], {}, []
     values, estimates = _metric_values(report), _metric_values(sim)
     for (name, _), value, est in zip(_METRICS, values, estimates):
         gap = abs(value - est.mean)
         kind = _GATES.get(name)
         if kind == "proportion":
             lo, hi = wilson_interval(round(est.mean * est.n_samples), est.n_samples)
-            ok = lo <= value <= hi or gap <= 0.02
+            inside = lo <= value <= hi
+            ok = inside or gap <= 0.02
         elif kind == "mean":
-            ok = gap <= est.half_width_95 or gap <= 0.03 * abs(value)
+            inside = gap <= est.half_width_95
+            ok = inside or gap <= 0.03 * abs(value)
         else:
             ok = gap <= est.half_width_95
         if kind is not None:
             gate[name] = ok
+            if ok and not inside:
+                slack.append(f"{name} (gap {gap:.4g})")
         rows.append([name, value, est.mean, est.half_width_95, gap, ok])
     _write_csv(
         args.output,
@@ -228,6 +232,11 @@ def cmd_validate(args) -> int:
     print(
         f"validate: tracked metrics {sorted(gate)} {status}; wrote {args.output}"
     )
+    if slack:
+        print(
+            f"validate: outside the 95% interval, agreeing only through the "
+            f"0.02 absolute or 3% relative slack: {', '.join(slack)}"
+        )
     return EXIT_OK if agreed else EXIT_MISMATCH
 
 

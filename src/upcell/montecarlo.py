@@ -7,22 +7,25 @@ Protocol per realization:
 2. Schedule one UE per BS, guard ring included, uniform over the BS's
    eligible region: the points of the expanded window that the BS serves
    and whose channel-inversion power fits the budget.  Each BS draws
-   rejection-sampling proposals uniformly in a disc that contains that
-   region, of radius min(reach, cross-tier bound) with reach
-   (P_u / rho_o)^(1/eta).  The cross-tier bound holds for a BS of a tier
-   whose exponent exceeds another tier's, and shrinks as that tier's
-   nearest BS gets closer.  A tier whose discs hold more than
-   ``TRIANGULATE_ABOVE`` same-tier BSs on average (pi lambda_k times the
-   mean squared radius, lambda_k counted in the expanded window; on a
-   single tier, the exponent of O_p) also caps each radius by a Delaunay
-   bound on the BS's same-tier cell; below that, the cell bound seldom
-   shortens a disc and costs more than it saves.  Any disc that
-   holds the eligible region gives the same UE law, so the rule changes
-   speed, never the distribution.  The BS keeps the first proposal that
-   lies in the window, is served by it, and fits the budget.  Unresolved
-   BSs get twice as many proposals each round; a realization in which an
-   inner-window BS is still unresolved after the round cap is discarded
-   and counted.
+   rejection-sampling proposals uniformly in a region that contains that
+   region: a disc of radius min(reach, cross-tier bound) with reach
+   (P_u / rho_o)^(1/eta), or its same-tier Voronoi polygon.  The
+   cross-tier bound holds for a BS of a tier whose exponent exceeds
+   another tier's, and shrinks as that tier's nearest BS gets closer.  A
+   tier whose discs hold more than ``TRIANGULATE_ABOVE`` same-tier BSs on
+   average (pi lambda_k times the mean squared radius, lambda_k counted
+   in the expanded window; on a single tier, the exponent of O_p) is
+   triangulated, and each of its BSs draws from whichever of its polygon
+   and its disc is smaller; below that, a polygon seldom beats the disc
+   and the triangulation costs more than it saves.  A polygon is a fan of
+   triangles from the BS to its cell's edges: a proposal picks one with
+   probability proportional to its area, then a uniform point in it.  Any
+   region that holds the eligible region gives the same UE law, so the
+   choice changes speed, never the distribution.  The BS keeps the first
+   proposal that lies in the window, is served by it, and fits the
+   budget.  Unresolved BSs get twice as many proposals each round; a
+   realization in which an inner-window BS is still unresolved after the
+   round cap is discarded and counted.
 3. Measure the BS nearest the window centre (a Slivnyak-style surrogate
    for the typical BS): its uplink is received at rho_o * h with h a
    unit-mean exponential fade, while every other scheduled UE interferes
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, cKDTree
+from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .model import NetworkConfig
 
@@ -73,9 +76,9 @@ MAX_BATCHES_DEFAULT = 50
 MAX_ROUND_POINTS = 2**16
 # Newton steps for the cross-tier bound; an unconverged root is discarded
 NEWTON_STEPS = 8
-# a tier's same-tier cell bounds are computed only when its proposal discs
-# hold more than this many of its BSs on average; below it the Delaunay
-# triangulation costs more than the proposals its bound would save
+# a tier's same-tier Voronoi polygons are computed only when its proposal
+# discs hold more than this many of its BSs on average; below it the
+# Delaunay triangulation costs more than the proposals the polygons save
 TRIANGULATE_ABOVE = 4.0
 # two-sided 95% standard normal quantile of every confidence interval
 _Z_95 = 1.96
@@ -143,58 +146,115 @@ def best_link(points, trees, etas):
     )
 
 
-def _cell_bounds(sites: np.ndarray, half: float) -> np.ndarray:
-    """Per site, an upper bound on the distance from the site to any point
-    of its Voronoi cell inside the square [-half, half]^2.
+def _voronoi_fans(sites: np.ndarray, half: float):
+    """Each site's Voronoi cell as a fan of triangles (site, c, c'), one per
+    cell edge: c and c' are the circumcentres of the two Delaunay triangles
+    that share the Delaunay edge from the site to its counter-clockwise
+    neighbour in one of them.
 
-    The convex-hull sites are mirrored across the four edges: a mirrored
-    site wins no point inside the square, and every original cell closes,
-    so a site's bound is the largest circumradius of its Delaunay
-    triangles.  The distance to the farthest corner caps the bound and
-    stands in for a site left out of every triangle.
+    The convex-hull sites (every site, when they span no triangle) are
+    mirrored across the four edges of the square [-half, half]^2: a
+    mirrored site wins no point inside the square, and every original cell
+    closes, so the fan holds the part of the site's cell inside the square.
+    Returns each fan triangle's site, in non-decreasing order, and its
+    edges c - site and c' - site, shape (f, 2, 2).  A site left out of
+    every Delaunay triangle (a repeated site), or next to a degenerate
+    one, gets no fan triangles.
     """
-    corner = np.hypot(half + np.abs(sites[:, 0]), half + np.abs(sites[:, 1]))
-    hull = sites[ConvexHull(sites).vertices] if len(sites) >= 3 else sites
+    try:
+        hull = sites[ConvexHull(sites).vertices]
+    except QhullError:  # fewer than three sites, or all on one line
+        hull = sites
     flip_x, flip_y = hull * (-1.0, 1.0), hull * (1.0, -1.0)
     pts = np.concatenate([
         sites,
         flip_x + (2.0 * half, 0.0), flip_x - (2.0 * half, 0.0),
         flip_y + (0.0, 2.0 * half), flip_y - (0.0, 2.0 * half),
     ])
-    tri = Delaunay(pts).simplices
-    a, b, c = pts[tri[:, 0]], pts[tri[:, 1]], pts[tri[:, 2]]
+    tri = Delaunay(pts)
+    # np.take gathers rows far faster than fancy indexing
+    a, b, c = np.take(pts, tri.simplices.T, axis=0)
     ab, ac = b - a, c - a
-    twice_area = np.abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0])
-    with np.errstate(divide="ignore"):
-        radius = (
-            np.hypot(*ab.T) * np.hypot(*ac.T) * np.hypot(*(c - b).T)
-            / (2.0 * twice_area)
-        )
-    bound = np.zeros(len(pts))
-    np.maximum.at(bound, tri.ravel(), np.repeat(radius, 3))
-    bound = bound[: len(sites)]
-    return np.where(bound > 0.0, np.minimum(bound, corner), corner)
+    cross = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    ab2, ac2 = np.sum(ab**2, axis=1), np.sum(ac**2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centre = a + np.stack(
+            (ac[:, 1] * ab2 - ab[:, 1] * ac2, ab[:, 0] * ac2 - ac[:, 0] * ab2),
+            axis=1,
+        ) / (2.0 * cross[:, np.newaxis])
+    # scipy orients 2-D simplices counter-clockwise: the vertex in slot j
+    # has its counter-clockwise neighbour in slot j + 1, and the triangle
+    # across that edge is the neighbour opposite slot j + 2
+    site, other = tri.simplices.ravel(), tri.neighbors[:, [2, 0, 1]].ravel()
+    # the original sites sorted first; a key of 16 bits or fewer sorts by radix
+    order = np.argsort(site.astype(np.min_scalar_type(len(pts))), kind="stable")
+    keep = order[: np.count_nonzero(site < len(sites))]
+    site, own, other = site[keep], keep // 3, other[keep]
+    edges = np.stack(
+        (np.take(centre, own, axis=0), np.take(centre, other, axis=0)), axis=1
+    ) - np.take(sites, site, axis=0)[:, np.newaxis]
+    finite = np.isfinite(centre).all(axis=1)
+    bad = (other < 0) | ~(finite[own] & finite[other])
+    keep = np.take(np.bincount(site[bad], minlength=len(sites)), site) == 0
+    return site[keep], edges[keep]
 
 
-def _proposal_radius(tier_xy, trees, etas, reach, half):
-    """Per BS, tiers concatenated, the radius of a disc about it that holds
-    every point of [-half, half]^2 that it serves within its reach.
+def _fan_areas(edges: np.ndarray) -> np.ndarray:
+    """Areas of fan triangles given by their two edges from the site."""
+    (x1, y1), (x2, y2) = edges[:, 0].T, edges[:, 1].T
+    return 0.5 * np.abs(x1 * y2 - y1 * x2)
 
-    The radius is min(reach, cross-tier bound), further capped by the
-    same-tier cell bound on a tier with pi lambda_k mean(radius^2) above
-    ``TRIANGULATE_ABOVE``, lambda_k its count over the square's area: a
-    BS serves no point that a same-tier BS is nearer to, so its region
-    lies in its same-tier cell.  For a tier-k BS and a tier i with
-    eta_i < eta_k, let D be the distance from the BS to its nearest
-    tier-i BS ``a``.  A point x at distance r that the BS serves has
-    r^eta_k <= |x - a|^eta_i <= (D + r)^eta_i, so r is at most the root
-    r* of g(r) = eta_k ln r - eta_i ln(D + r), which is increasing and
-    concave on (0, inf).  The cross-tier bound is the least r* over such
-    tiers.
 
-    Returns the radii and whether the sites were queried against every
-    tree for D, which happens only when two non-empty tiers have
-    different exponents.
+class _Fans:
+    """The Voronoi polygons of the BSs that draw their proposals there:
+    BS b owns fan triangles ``lo[b]:hi[b]``, none for a BS that draws from
+    its disc."""
+
+    def __init__(self, n_bs: int, bs: np.ndarray, edges: np.ndarray):
+        # ``bs`` is non-decreasing: each BS's triangles are contiguous
+        count = np.bincount(bs, minlength=n_bs)
+        self.hi = np.cumsum(count)
+        self.lo = self.hi - count
+        self.edges = edges
+        self.cum = np.cumsum(_fan_areas(edges))
+
+    def offsets(self, bs: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Offsets from each of ``bs`` uniform in its polygon, shape
+        ``w.shape + (2,)``: ``w`` picks a fan triangle with probability
+        proportional to its area, the pair ``u`` (shape (2,) + w.shape)
+        a point in it."""
+        lo, hi = self.lo[bs, np.newaxis], self.hi[bs, np.newaxis]
+        before = np.where(lo > 0, self.cum[lo - 1], 0.0)
+        target = before + w * (self.cum[hi - 1] - before)
+        pick = np.clip(np.searchsorted(self.cum, target, side="right"), lo, hi - 1)
+        edges = np.take(self.edges, pick, axis=0)
+        fold = u[0] + u[1] > 1.0
+        s, t = np.where(fold, 1.0 - u, u)
+        return (s[..., np.newaxis] * edges[..., 0, :]
+                + t[..., np.newaxis] * edges[..., 1, :])
+
+
+def _proposal_regions(tier_xy, trees, etas, reach, half):
+    """Per BS, tiers concatenated, a region that holds every point of
+    [-half, half]^2 that the BS serves within its reach: a disc about it or
+    its same-tier Voronoi polygon.
+
+    The disc's radius is min(reach, cross-tier bound).  A BS serves no
+    point that a same-tier BS is nearer to, so its region also lies in its
+    same-tier cell.  On a tier with pi lambda_k mean(radius^2) above
+    ``TRIANGULATE_ABOVE``, lambda_k its count over the square's area, the
+    radius is capped by the distance to the square's farthest corner, and
+    each BS whose polygon is smaller than its disc draws from the polygon.
+    For a tier-k BS and a tier i with eta_i < eta_k, let D be the distance
+    from the BS to its nearest tier-i BS ``a``.  A point x at distance r
+    that the BS serves has r^eta_k <= |x - a|^eta_i <= (D + r)^eta_i, so r
+    is at most the root r* of g(r) = eta_k ln r - eta_i ln(D + r), which
+    is increasing and concave on (0, inf).  The cross-tier bound is the
+    least r* over such tiers.
+
+    Returns the radii, the polygons as :class:`_Fans`, and whether the
+    sites were queried against every tree for D, which happens only when
+    two non-empty tiers have different exponents.
     """
     counts = [len(p) for p in tier_xy]
     radius = np.repeat(reach, counts)
@@ -223,11 +283,20 @@ def _proposal_radius(tier_xy, trees, etas, reach, half):
         ok = eta_k * np.log(root) >= eta_i * np.log(d + root)
         radius[lower] = np.where(ok, np.minimum(radius[lower], root), radius[lower])
     density = np.asarray(counts) / (2.0 * half) ** 2
+    fan_bs, fan_edges = [np.empty(0, dtype=np.intp)], [np.empty((0, 2, 2))]
     for k, start in enumerate(np.cumsum([0] + counts[:-1])):
         own = radius[start : start + counts[k]]
         if counts[k] and math.pi * density[k] * np.mean(own**2) > TRIANGULATE_ABOVE:
-            np.minimum(own, _cell_bounds(tier_xy[k], half), out=own)
-    return radius, queried
+            sites = tier_xy[k]
+            np.minimum(own, np.hypot(half + np.abs(sites[:, 0]),
+                                     half + np.abs(sites[:, 1])), out=own)
+            site, edges = _voronoi_fans(sites, half)
+            area = np.bincount(site, _fan_areas(edges), minlength=counts[k])
+            smaller = (area < math.pi * own**2)[site]
+            fan_bs.append(start + site[smaller])
+            fan_edges.append(edges[smaller])
+    fans = _Fans(len(radius), np.concatenate(fan_bs), np.concatenate(fan_edges))
+    return radius, fans, queried
 
 
 @dataclass
@@ -305,7 +374,8 @@ def build_realization(
         raise SaturationError("no base station inside the inner window")
 
     reach = (config.p_max / rhos) ** (1.0 / etas)
-    radius, queried = _proposal_radius(tier_xy, trees, etas, reach, half_drop)
+    radius, fans, queried = _proposal_regions(tier_xy, trees, etas, reach, half_drop)
+    polygon = fans.hi > fans.lo
 
     ue_xy = np.zeros((n_bs, 2))
     ue_power = np.zeros(n_bs)
@@ -322,11 +392,19 @@ def build_realization(
             (bs_xy[pending, 0, np.newaxis] + r * np.cos(angle),
              bs_xy[pending, 1, np.newaxis] + r * np.sin(angle)),
             axis=-1,
-        ).reshape(-1, 2)
+        )
+        # the polygon's third uniform is drawn for its BSs alone, so a run
+        # without polygons draws what the disc sampler always drew
+        fan = polygon[pending]
+        if fan.any():
+            w = schedule_rng.random((np.count_nonzero(fan), m))
+            pts[fan] = (np.take(bs_xy, pending[fan], axis=0)[:, np.newaxis]
+                        + fans.offsets(pending[fan], u[:, fan], w))
+        pts = pts.reshape(-1, 2)
         n_points += len(pts)
         tier, local, weight = best_link(pts, trees, etas)
         power = rhos[tier] * weight
-        # the reach disc implies the budget up to rounding; check it anyway
+        # a polygon may reach past the budget, a disc only by rounding
         accept = (
             (offsets[tier] + local == np.repeat(pending, m))
             & (power <= config.p_max)

@@ -227,6 +227,37 @@ class TestValidate:
         assert code == 5
 
 
+    def test_slack_only_agreement_is_named(self, small_config, tmp_path,
+                                           monkeypatch, capsys):
+        # O_p is about 0.002 here, so its Wilson interval over 400
+        # realizations ends below 0.015: an analytic value raised by 0.015
+        # lies outside it but within the 0.02 slack
+        real = upcell.analytic.full_report
+
+        def shifted(config, tier, **kwargs):
+            report = real(config, tier, **kwargs)
+            return MetricsReport.from_components(
+                report.truncation_outage + 0.015,
+                report.sinr_outage,
+                report.spectral_efficiency,
+                report.mean_tx_power,
+            )
+
+        monkeypatch.setattr(upcell.analytic, "full_report", shifted)
+        out = tmp_path / "val.csv"
+        code = main([
+            "validate", "--config", small_config, "--output", str(out),
+            "--iterations", "400", "--seed", "3", "--workers", "2",
+        ])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert {row[0]: row[5] for row in rows}["O_p"] == "1"
+        summary, slack = capsys.readouterr().out.splitlines()
+        assert "agree" in summary
+        assert "0.02 absolute or 3% relative slack: " in slack
+        assert "O_p (gap 0.01" in slack
+
+
 class TestSweepVerbs:
     def test_two_point_grid_stars_better_endpoint(self, paper_config, tmp_path):
         out = tmp_path / "sweep.csv"
