@@ -48,7 +48,8 @@ import numpy as np
 
 from .model import MetricsReport, NetworkConfig
 # integrate_interval and integrate_semi_infinite stay bound here, where the
-# benchmark's trace hooks (upbench/spans.py) wrap them by name
+# benchmark's trace hooks (upbench/spans.py) wrap them by name; nothing in
+# this module calls them, and scipy.integrate loads on their first call
 from .specfun import (  # noqa: F401
     integrate_interval,
     integrate_panels,

@@ -292,6 +292,14 @@ def cmd_optimize(args) -> int:
     return _write_grid(args, digest, config, result, rho_star, value, report)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (not on macOS), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="upcell",
@@ -308,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         if sim:
             p.add_argument("--iterations", type=int, default=10000)
             p.add_argument("--seed", type=int, default=1)
-            p.add_argument("--workers", type=int,
-                           default=os.cpu_count() or 1)
+            p.add_argument("--workers", type=int, default=_usable_cpus())
         if grid:
             p.add_argument("--from", dest="grid_from", type=float, required=True,
                            help="grid start, dBm")

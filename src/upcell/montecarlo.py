@@ -55,7 +55,6 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 import numpy as np
-from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
 
 from .model import NetworkConfig
 
@@ -104,6 +103,18 @@ def sample_ppp(
         raise ValueError(f"window side must be positive, got {side}")
     n = rng.poisson(intensity * side * side)
     return rng.uniform(-side / 2.0, side / 2.0, size=(n, 2))
+
+
+def cKDTree(data: np.ndarray):
+    """``scipy.spatial.cKDTree(data)``, importing ``scipy.spatial`` on the
+    first call rather than with the package.
+
+    :func:`build_realization` builds every tree through this module
+    attribute, which the benchmark's trace hooks and the tests replace.
+    """
+    from scipy import spatial
+
+    return spatial.cKDTree(data)
 
 
 def _tier_distances(points, trees):
@@ -161,6 +172,8 @@ def _voronoi_fans(sites: np.ndarray, half: float):
     every Delaunay triangle (a repeated site), or next to a degenerate
     one, gets no fan triangles.
     """
+    from scipy.spatial import ConvexHull, Delaunay, QhullError
+
     try:
         hull = sites[ConvexHull(sites).vertices]
     except QhullError:  # fewer than three sites, or all on one line
@@ -595,6 +608,11 @@ def estimate_metrics(
         for i in range(0, iterations, chunk_size)
     ]
     if workers > 1:
+        # this process builds no realization: import the simulator's scipy
+        # module here, once, so that forked workers inherit it instead of
+        # each importing it again
+        import scipy.spatial  # noqa: F401
+
         # the platform's default start method: fork is missing on Windows
         # and unsafe with threads on macOS
         with get_context().Pool(workers) as pool:

@@ -228,7 +228,10 @@ class TestInterferenceLaplace:
         # quadrature of the generating-functional exponent at s = 1/rho_o
         #   2 pi lambda int_p f_P(p) int_{(p/rho)^{1/4}}^inf
         #       (1 - 1/(1 + s p x^-4)) x dx dp
-        # with f_P the unbounded-budget density.
+        # with f_P the unbounded-budget density.  The inner integrand is
+        # written s p x / (x^4 + s p), the same function without the
+        # cancellation of 1 - 1/(1 + small) that costs QUADPACK its
+        # tolerance.
         lam, rho = 2e-6, 1e-10
         s = 1.0 / rho
 
@@ -239,7 +242,7 @@ class TestInterferenceLaplace:
         def inner(p):
             lo = (p / rho) ** 0.25
             val, _ = integrate.quad(
-                lambda x: (1.0 - 1.0 / (1.0 + s * p * x**-4.0)) * x,
+                lambda x: s * p * x / (x**4 + s * p),
                 lo, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400,
             )
             return val

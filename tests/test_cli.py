@@ -4,12 +4,15 @@ sidecars.  Commands are invoked in-process through ``main``."""
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
+import scipy.integrate
 
 import upcell.analytic
-from upcell.cli import BASE_COLUMNS, CI_COLUMNS, main
+import upcell.specfun
+from upcell.cli import BASE_COLUMNS, CI_COLUMNS, build_parser, main
 from upcell.model import MetricsReport
 from upcell.specfun import QuadratureError
 
@@ -191,6 +194,15 @@ class TestSimulate:
         ])
         assert code == 4
 
+    def test_workers_default_counts_usable_cpus(self, monkeypatch):
+        # a process pinned to one CPU of an eight-CPU host gets one worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for verb in ("simulate", "validate"):
+            args = build_parser().parse_args([verb, "--config", "c.json",
+                                              "--output", "x.csv"])
+            assert args.workers == 1
+
 
 class TestValidate:
     def test_agreement_exits_0(self, small_config, tmp_path):
@@ -335,7 +347,8 @@ class TestTierRange:
                      "--tier", "2"]) == 2
 
 
-def test_benchmark_trace_hooks_resolve(paper_config, tmp_path, monkeypatch):
+def test_benchmark_trace_hooks_resolve(paper_config, small_config, tmp_path,
+                                       monkeypatch):
     # upbench patches upcell's layer boundaries by attribute name; entering
     # the patch set fails on a renamed or deleted one
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "upbench"))
@@ -344,5 +357,16 @@ def test_benchmark_trace_hooks_resolve(paper_config, tmp_path, monkeypatch):
     with spans.installed(spans.Tracer()) as tracer:
         assert main(["analyze", "--config", paper_config, "--output",
                      str(tmp_path / "a.csv")]) == 0
+        # the lazily importing montecarlo.cKDTree is what the hooks wrap
+        assert main(["simulate", "--config", small_config, "--output",
+                     str(tmp_path / "s.csv"), "--iterations", "100",
+                     "--workers", "1"]) == 0
+        # the QUADPACK reference calls the stand-in set on specfun
+        upcell.analytic.integrate_interval(math.exp, 0.0, 1.0)
+    assert tracer.counts["specfun.quad_calls"] == 1
     names = {span[0] for span in tracer.spans}
-    assert {"analytic.full_report", "specfun.tail_interference_integral"} <= names
+    assert {"analytic.full_report", "specfun.tail_interference_integral",
+            "scipy.cKDTree", "scipy.cKDTree.query"} <= names
+    # the hooks stand in for scipy.integrate, resolved on first access,
+    # and put it back
+    assert upcell.specfun.integrate is scipy.integrate
