@@ -37,10 +37,7 @@ for lam in INTENSITIES:
     cfg = config_for(lam)
     result = sweep(cfg, 0, GRID)
     curves[lam] = result
-    rho_star, o_t_star = refine_optimum(
-        cfg, 0, "total_outage",
-        (result.argopt - 1.0, result.argopt + 1.0), tol=0.01,
-    )
+    rho_star, o_t_star = refine_optimum(cfg, 0, result, tol=0.01)
     print(f"lambda = {lam:6.1f} BS/km^2: optimal cutoff {rho_star:8.2f} dBm, "
           f"minimal total outage {o_t_star:.4f}")
 

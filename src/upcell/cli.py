@@ -280,12 +280,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_optimize(args) -> int:
     config, digest, result = _sweep(args)
-    spacing = (args.grid_to - args.grid_from) / (args.steps - 1)
-    lo = max(args.grid_from, result.argopt - spacing)
-    hi = min(args.grid_to, result.argopt + spacing)
-    rho_star, value = optimize.refine_optimum(
-        config, args.tier, args.objective, (lo, hi), tol=args.tol_db
-    )
+    rho_star, value = optimize.refine_optimum(config, args.tier, result,
+                                              tol=args.tol_db)
     report = analytic.full_report(
         config.with_tier_rho_o(args.tier, dbm_to_watts(rho_star)), args.tier
     )

@@ -26,11 +26,14 @@ Protocol per realization:
    budget.  Unresolved BSs get twice as many proposals each round; a
    realization in which an inner-window BS is still unresolved after the
    round cap is discarded and counted.
-3. Measure the BS nearest the window centre (a Slivnyak-style surrogate
-   for the typical BS): its uplink is received at rho_o * h with h a
-   unit-mean exponential fade, while every other scheduled UE interferes
-   with power P_i h_i d_i^(-eta_j).  A realization with an interfering
-   UE on the tagged BS itself (d_i = 0) is discarded and counted.
+3. Measure the BS nearest the window centre: the BS whose cell covers
+   the centre, so a BS is picked with probability proportional to its
+   Voronoi area.  It is neither the typical BS nor the serving BS of a
+   typical active UE (ROADMAP open item 1).  Its uplink is received at
+   rho_o * h with h a unit-mean exponential fade, while every other
+   scheduled UE interferes with power P_i h_i d_i^(-eta_j).  A
+   realization with an interfering UE on the tagged BS itself (d_i = 0)
+   is discarded and counted.
 4. Drop one independent probe UE in the inner window to sample the
    truncation-outage indicator.
 
@@ -70,7 +73,8 @@ __all__ = [
     "estimate_metrics",
 ]
 
-MAX_BATCHES_DEFAULT = 50
+# proposal rounds before a realization with an unscheduled BS is discarded
+MAX_BATCHES = 50
 # proposals per round over all unresolved BSs, once doubling reaches it
 MAX_ROUND_POINTS = 2**16
 # Newton steps for the cross-tier bound; an unconverged root is discarded
@@ -346,14 +350,13 @@ def build_realization(
     config: NetworkConfig,
     rng: np.random.Generator,
     tagged_tier: int = 0,
-    max_batches: int = MAX_BATCHES_DEFAULT,
 ) -> Realization:
     """Run the full draw/schedule/measure protocol once.
 
     The measured BS is the inner-window BS of tier ``tagged_tier`` nearest
     the window centre.
     Raises :class:`SaturationError` when an inner-window BS is still
-    unscheduled after ``max_batches`` proposal rounds, when the window
+    unscheduled after ``MAX_BATCHES`` proposal rounds, when the window
     contains no usable BS, or when an interfering UE lies on the measured
     BS (infinite interference).
     """
@@ -395,7 +398,7 @@ def build_realization(
     pending = np.arange(n_bs)
     n_points = n_bs if queried else 0
     n_rounds = 0
-    while pending.size and n_rounds < max_batches:
+    while pending.size and n_rounds < MAX_BATCHES:
         m = max(1, min(2**n_rounds, MAX_ROUND_POINTS // pending.size))
         n_rounds += 1
         u = schedule_rng.random((2, pending.size, m))

@@ -3,10 +3,14 @@
 The cutoff rho_o trades truncation outage (increasing in rho_o) against
 SINR outage (non-increasing in rho_o), so the total outage is typically
 U-shaped in dB and has an interior optimum.  ``sweep`` maps the analytic
-objective over a dB grid; ``refine_optimum`` polishes a bracketed optimum
-by golden-section search in the dB domain.  Optimization always runs on
-the analytic (noise-free) objective; re-check a found optimum with the
-Monte Carlo engine if confirmation is needed.
+objective over a dB grid; ``refine_optimum`` polishes the grid optimum by
+golden-section search in the dB domain, between the optimum's grid
+neighbours and down to a bracket ``tol`` dB wide.  It starts from the
+sweep's own values there, so it never returns a value worse than the
+grid optimum (a plateau flat within 1e-12 excepted, where the smallest
+cutoff wins).  Optimization always runs on the analytic (noise-free)
+objective; re-check a found optimum with the Monte Carlo engine if
+confirmation is needed.
 """
 
 from __future__ import annotations
@@ -51,36 +55,36 @@ def objective_value(config: NetworkConfig, tier: int, objective: str) -> float:
     return (1.0 - o_p) * analytic.spectral_efficiency(config, tier)
 
 
-def _objective_fn(config: NetworkConfig, tier: int, objective: str):
-    sign = -1.0 if _lookup(objective)[1] else 1.0
-
-    def fn(rho_dbm: float) -> float:
-        return sign * objective_value(
-            config.with_tier_rho_o(tier, dbm_to_watts(rho_dbm)), tier, objective
-        )
-
-    return fn, sign
-
-
 @dataclass
 class SweepResult:
-    """Grid evaluation of the objective over one tier's cutoff (dBm).
+    """Grid evaluation of ``objective`` over one tier's cutoff (dBm).
 
     ``reports[i]`` is None when evaluation failed numerically at that grid
-    point (the failure text is kept in ``errors[i]``).  ``argopt``/
-    ``opt_value`` obey the smallest-cutoff tie rule on plateaus.
+    point (the failure text is kept in ``errors[i]``).  The grid optimum
+    ``values_dbm[opt_index]`` obeys the smallest-cutoff tie rule on
+    plateaus.
     """
 
     values_dbm: np.ndarray
     reports: list[MetricsReport | None]
     errors: list[str | None]
-    argopt: float
-    opt_value: float
+    objective: str
+    opt_index: int
+
+    @property
+    def argopt(self) -> float:
+        """The grid optimum's cutoff (dBm)."""
+        return float(self.values_dbm[self.opt_index])
 
     @property
     def opt_report(self) -> MetricsReport:
         """The report at the grid optimum ``argopt``."""
-        return self.reports[int(np.flatnonzero(self.values_dbm == self.argopt)[0])]
+        return self.reports[self.opt_index]
+
+    @property
+    def opt_value(self) -> float:
+        """The objective at the grid optimum ``argopt``."""
+        return float(OBJECTIVES[self.objective][0](self.opt_report))
 
 
 def sweep(
@@ -126,59 +130,47 @@ def sweep(
         values_dbm=values,
         reports=reports,
         errors=errors,
-        argopt=float(values[best]),
-        opt_value=float(scores[best]),
+        objective=objective,
+        opt_index=best,
     )
 
 
 def refine_optimum(
     config: NetworkConfig,
     tier: int,
-    objective: str,
-    bracket: tuple[float, float],
+    result: SweepResult,
     tol: float = 0.01,
 ) -> tuple[float, float]:
-    """Golden-section refinement of the objective over ``bracket`` (dBm).
+    """Golden-section refinement of the sweep ``result`` of ``config``'s
+    ``tier`` between the grid neighbours of its optimum (dBm).
 
-    Returns ``(rho_o_dbm, objective_value)``.  On a plateau (objective
-    flat within 1e-12 across every evaluation) the lower bracket end is
-    returned, since the smallest cutoff minimizes transmit power.  If the
-    interior samples reveal the bracket is not unimodal, the search falls
-    back to a fine grid scan.
+    Returns ``(rho_o_dbm, objective_value)``.  The bracket is clamped at
+    the grid ends.  The sweep's own values at the optimum and at its
+    neighbours that evaluated seed the search, so the refined value is
+    never worse than the grid optimum, even where the bracket is not
+    unimodal.  On a plateau (objective flat within 1e-12 across every
+    evaluation) the smallest evaluated cutoff is returned instead, since
+    the smallest cutoff minimizes transmit power.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError(f"bracket must satisfy lo < hi, got [{lo}, {hi}]")
-    fn, sign = _objective_fn(config, tier, objective)
-
-    evaluated: dict[float, float] = {}
+    extract, maximize = OBJECTIVES[result.objective]
+    sign = -1.0 if maximize else 1.0
+    grid = result.values_dbm
+    near = range(max(result.opt_index - 1, 0), min(result.opt_index + 2, len(grid)))
+    evaluated = {
+        float(grid[i]): sign * extract(result.reports[i])
+        for i in near
+        if result.reports[i] is not None
+    }
 
     def f(x: float) -> float:
         if x not in evaluated:
-            evaluated[x] = fn(x)
+            cfg = config.with_tier_rho_o(tier, dbm_to_watts(x))
+            evaluated[x] = sign * objective_value(cfg, tier, result.objective)
         return evaluated[x]
 
-    # unimodality screen: interior probes must not show a rise-then-fall
-    probes = np.linspace(lo, hi, 7)
-    probe_vals = [f(x) for x in probes]
-    interior_min = min(probe_vals[1:-1])
-    rises = [
-        i
-        for i in range(1, len(probes) - 1)
-        if probe_vals[i] > probe_vals[i - 1] + _PLATEAU_TOL
-        and probe_vals[i] > probe_vals[i + 1] + _PLATEAU_TOL
-    ]
-    if rises and interior_min < min(probe_vals[0], probe_vals[-1]) - _PLATEAU_TOL:
-        # interior local maximum alongside an interior minimum: not
-        # unimodal, fall back to a dense scan
-        xs = np.linspace(lo, hi, max(1001, int((hi - lo) / tol) + 1))
-        vals = [f(x) for x in xs]
-        i = int(np.argmin(vals))
-        return float(xs[i]), sign * vals[i]
-
-    a, b = lo, hi
+    a, b = float(grid[near[0]]), float(grid[near[-1]])
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
@@ -192,8 +184,9 @@ def refine_optimum(
             d = a + _INV_PHI * (b - a)
             fd = f(d)
 
-    values = list(evaluated.values())
+    values = evaluated.values()
     if max(values) - min(values) <= _PLATEAU_TOL:
-        return lo, sign * f(lo)
-    best_x = min(evaluated, key=evaluated.get)
+        best_x = min(evaluated)
+    else:
+        best_x = min(evaluated, key=lambda x: (evaluated[x], x))
     return best_x, sign * evaluated[best_x]

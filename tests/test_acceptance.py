@@ -201,11 +201,7 @@ def test_criterion_7_u_shaped_tradeoff():
     grid = sweep(cfg, 0, (-120.0, -40.0, 81))
     o_t = np.array([r.total_outage for r in grid.reports])
     interior = o_t.min() < min(o_t[0], o_t[-1]) - 1e-6
-    spacing = 1.0
-    rho_star, value = refine_optimum(
-        cfg, 0, "total_outage",
-        (grid.argopt - spacing, grid.argopt + spacing), tol=0.01,
-    )
+    rho_star, value = refine_optimum(cfg, 0, grid, tol=0.01)
     beats_grid = value <= o_t.min() + 1e-15
     xs = np.linspace(-120.0, -40.0, 10001)
     brute = np.array([

@@ -3,7 +3,6 @@ scheduling, structural invariants of realizations, and estimator
 reproducibility.  Heavy model-vs-simulation comparisons live in
 test_acceptance.py; everything here runs on small windows."""
 
-import functools
 import hashlib
 import math
 
@@ -285,14 +284,13 @@ class TestSaturation:
     # cannot schedule all of its ~80 inner BSs (at -70 dBm most cells lie
     # within reach, and one proposal in each polygon often does)
 
-    def test_infeasible_cutoff_raises(self):
+    def test_infeasible_cutoff_raises(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "MAX_BATCHES", 1)
         with pytest.raises(SaturationError):
-            build_realization(small_config(rho_o_dbm=-60.0), realization_rng(0, 0),
-                              max_batches=1)
+            build_realization(small_config(rho_o_dbm=-60.0), realization_rng(0, 0))
 
     def test_all_discarded_raises(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "build_realization",
-                            functools.partial(build_realization, max_batches=1))
+        monkeypatch.setattr(montecarlo, "MAX_BATCHES", 1)
         with pytest.raises(SaturationError):
             estimate_metrics(small_config(rho_o_dbm=-60.0), 100, seed=0)
 

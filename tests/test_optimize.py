@@ -9,7 +9,7 @@ import pytest
 
 from upcell import analytic
 from upcell.model import NetworkConfig, TierConfig, dbm_to_watts
-from upcell.optimize import objective_value, refine_optimum, sweep
+from upcell.optimize import OBJECTIVES, objective_value, refine_optimum, sweep
 from upcell.specfun import QuadratureError
 
 
@@ -103,18 +103,46 @@ class TestSweep:
             sweep(defaults(), 0, (-120.0, -40.0, 5), objective="latency")
 
 
+def mixed_exponents():
+    """Two tiers with distinct exponents: the power moments run over the
+    mixture density."""
+    return NetworkConfig.from_engineering(
+        tiers=[TierConfig.from_engineering(2.0, -70.0, eta=3.0),
+               TierConfig.from_engineering(5.0, -80.0, eta=4.5)],
+    )
+
+
+@pytest.mark.parametrize("config", [defaults(), mixed_exponents()],
+                         ids=["common", "mixed"])
+@pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+def test_objective_value_matches_sweep_extractor(config, objective):
+    # refine_optimum seeds its search with the sweep's values, so the two
+    # routes must agree bit for bit
+    extract = OBJECTIVES[objective][0]
+    for tier in range(config.n_tiers):
+        for rho_dbm in (-100.0, -75.0, -50.0):
+            cfg = config.with_tier_rho_o(tier, dbm_to_watts(rho_dbm))
+            assert objective_value(cfg, tier, objective) == extract(
+                analytic.full_report(cfg, tier)
+            )
+
+
+def assert_not_worse(result, value):
+    if OBJECTIVES[result.objective][1]:
+        assert value >= result.opt_value
+    else:
+        assert value <= result.opt_value
+
+
 class TestRefineOptimum:
     def test_beats_coarse_grid_and_matches_brute_force(self):
         cfg = defaults()
         coarse = sweep(cfg, 0, (-120.0, -40.0, 81))
-        spacing = 80.0 / 80.0
-        bracket = (coarse.argopt - spacing, coarse.argopt + spacing)
-        rho_star, value = refine_optimum(
-            cfg, 0, "total_outage", bracket, tol=0.01
-        )
+        rho_star, value = refine_optimum(cfg, 0, coarse, tol=0.01)
         assert value <= coarse.opt_value + 1e-15
-        # brute force over the same bracket
-        xs = np.linspace(bracket[0], bracket[1], 10001)
+        # brute force between the grid neighbours of the grid optimum
+        i = coarse.opt_index
+        xs = np.linspace(coarse.values_dbm[i - 1], coarse.values_dbm[i + 1], 10001)
         brute = [
             objective_value(cfg.with_tier_rho_o(0, dbm_to_watts(x)), 0,
                             "total_outage")
@@ -125,13 +153,47 @@ class TestRefineOptimum:
         assert value <= brute[i] + 1e-12
 
     def test_plateau_returns_lower_end(self):
-        rho_star, value = refine_optimum(
-            flat_config(), 0, "total_outage", (-90.0, -70.0), tol=0.01
-        )
+        result = sweep(flat_config(), 0, (-90.0, -70.0, 3))
+        rho_star, value = refine_optimum(flat_config(), 0, result, tol=0.01)
         assert rho_star == -90.0
+        assert_not_worse(result, value)
 
-    def test_invalid_bracket(self):
-        with pytest.raises(ValueError):
-            refine_optimum(defaults(), 0, "total_outage", (-60.0, -80.0))
-        with pytest.raises(ValueError):
-            refine_optimum(defaults(), 0, "total_outage", (-80.0, -60.0), tol=0.0)
+    @pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+    @pytest.mark.parametrize("grid, edge", [((-60.0, -40.0, 5), 0),
+                                            ((-120.0, -100.0, 5), -1)],
+                             ids=["first", "last"])
+    def test_optimum_at_grid_end(self, objective, grid, edge):
+        # the bracket is one-sided: from the end point to its one neighbour
+        result = sweep(defaults(), 0, grid, objective)
+        assert result.argopt == result.values_dbm[edge]
+        rho_star, value = refine_optimum(defaults(), 0, result, tol=0.01)
+        inner = result.values_dbm[1 if edge == 0 else -2]
+        assert min(result.argopt, inner) <= rho_star <= max(result.argopt, inner)
+        assert_not_worse(result, value)
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    def test_failed_neighbour(self, monkeypatch, side):
+        grid = (-120.0, -40.0, 17)
+        target = sweep(defaults(), 0, grid).opt_index + side
+        real = analytic.full_report
+        calls = []
+
+        def neighbour_fails(config, tier, **kwargs):
+            calls.append(tier)
+            if len(calls) == target + 1:
+                raise QuadratureError("synthetic non-convergence")
+            return real(config, tier, **kwargs)
+
+        monkeypatch.setattr(analytic, "full_report", neighbour_fails)
+        result = sweep(defaults(), 0, grid)
+        assert result.reports[target] is None
+        assert result.opt_index == target - side
+        rho_star, value = refine_optimum(defaults(), 0, result, tol=0.01)
+        assert_not_worse(result, value)
+        assert abs(rho_star - result.argopt) <= 5.0
+
+    def test_nonpositive_tolerance_rejected(self):
+        result = sweep(defaults(), 0, (-80.0, -60.0, 3))
+        for tol in (0.0, -0.01):
+            with pytest.raises(ValueError):
+                refine_optimum(defaults(), 0, result, tol=tol)
