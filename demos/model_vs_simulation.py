@@ -4,7 +4,7 @@
 The analytic outage expressions approximate the interfering UEs by a
 Poisson process with independent transmit powers.  This script checks
 that approximation against the full protocol simulation (PPP deployment,
-best-link association, saturation scheduling, channel-inversion powers,
+best-link association, one scheduled UE per cell, channel-inversion powers,
 Rayleigh-faded SINR at the BS nearest the window centre).
 
 A compact window keeps the runtime around a minute; push ``ITERATIONS``

@@ -12,7 +12,7 @@ P_u / (1 + eta/2): a third of the budget for eta = 4.
 
 import numpy as np
 
-from upcell.analytic import TxPowerDistribution
+from upcell.analytic import TxPowerDistribution, truncation_outage
 from upcell.model import NetworkConfig, TierConfig
 
 
@@ -30,8 +30,6 @@ means = []
 for rho in rhos:
     cfg = config_for(rho)
     dist = TxPowerDistribution(cfg, 0)
-    from upcell.analytic import truncation_outage
-
     means.append(dist.moment(1.0))
     print(f"{rho:12.0f} {means[-1]:10.4f} {truncation_outage(cfg, 0):16.4f}")
 

@@ -11,7 +11,6 @@ from .model import (
     TierConfig,
     dbm_to_watts,
     network_from_mapping,
-    validate,
     watts_to_dbm,
 )
 from .specfun import (
@@ -48,7 +47,6 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "network_from_mapping",
-    "validate",
     "QuadratureError",
     "lower_incomplete_gamma",
     "tail_interference_integral",

@@ -249,7 +249,7 @@ def _sweep(args) -> tuple[NetworkConfig, str, optimize.SweepResult]:
 
 
 def _write_grid(args, digest: str, config: NetworkConfig, result,
-                rho_star: float, value: float, report: MetricsReport) -> int:
+                rho_star: float, report: MetricsReport) -> int:
     """Write the grid rows of ``result`` and the starred optimum row."""
     points = [
         (float(v), grid_report, False)
@@ -265,6 +265,7 @@ def _write_grid(args, digest: str, config: NetworkConfig, result,
     ]
     _write_csv(args.output, BASE_COLUMNS + ["is_optimum"], rows)
     _write_manifest(args.output, args.command, digest)
+    value = optimize.OBJECTIVES[args.objective][0](report)
     print(
         f"{args.command}: {args.objective} optimum at rho_o = {rho_star:.6g} dBm "
         f"(value {value:.6g}); wrote {args.output}"
@@ -274,18 +275,19 @@ def _write_grid(args, digest: str, config: NetworkConfig, result,
 
 def cmd_sweep(args) -> int:
     config, digest, result = _sweep(args)
-    return _write_grid(args, digest, config, result,
-                       result.argopt, result.opt_value, result.opt_report)
+    return _write_grid(args, digest, config, result, result.argopt, result.opt_report)
 
 
 def cmd_optimize(args) -> int:
     config, digest, result = _sweep(args)
-    rho_star, value = optimize.refine_optimum(config, args.tier, result,
-                                              tol=args.tol_db)
-    report = analytic.full_report(
-        config.with_tier_rho_o(args.tier, dbm_to_watts(rho_star)), args.tier
-    )
-    return _write_grid(args, digest, config, result, rho_star, value, report)
+    rho_star, _ = optimize.refine_optimum(config, args.tier, result, tol=args.tol_db)
+    # a grid optimum's report is the sweep's own
+    report = dict(zip(result.values_dbm.tolist(), result.reports)).get(rho_star)
+    if report is None:
+        report = analytic.full_report(
+            config.with_tier_rho_o(args.tier, dbm_to_watts(rho_star)), args.tier
+        )
+    return _write_grid(args, digest, config, result, rho_star, report)
 
 
 def _usable_cpus() -> int:

@@ -19,7 +19,6 @@ __all__ = [
     "MetricsReport",
     "dbm_to_watts",
     "watts_to_dbm",
-    "validate",
     "network_from_mapping",
 ]
 
@@ -49,14 +48,38 @@ def watts_to_dbm(x_watts: float) -> float:
     return 10.0 * math.log10(x_watts) + 30.0
 
 
-def _to_si(errors: list, path: str, convert, value: float) -> float:
-    """``convert(value)``, or NaN and an error at ``path`` when the result
-    overflows a float."""
+def _si(errors: list, key: str, value, convert, valid, rule: str,
+        allow_inf: bool = False) -> float:
+    """``convert(value)``, the SI value of the argument ``key``, or NaN and
+    an error at ``key`` when ``value`` is no number or its SI value
+    overflows, is NaN, is infinite (unless ``allow_inf``) or fails
+    ``valid``, the check that ``rule`` states."""
     try:
-        return convert(value)
+        si = convert(float(value))
+    except (TypeError, ValueError):
+        problem = f"not a number: {value!r}"
     except OverflowError:
-        errors.append((path, f"{value!r} is too large to convert to linear units"))
-        return math.nan
+        problem = f"{value!r} is too large to convert to linear units"
+    else:
+        if math.isnan(si):
+            problem = "must not be NaN"
+        elif math.isinf(si) and not allow_inf:
+            problem = "must be finite"
+        elif not valid(si):
+            problem = rule
+        else:
+            return si
+    errors.append((key, problem))
+    return math.nan
+
+
+def _floor_errors(k: int, rho_o: float, rho_min: float) -> list[tuple[str, str]]:
+    """The error of tier ``k`` when its cutoff ``rho_o`` does not exceed
+    the receiver sensitivity ``rho_min`` (both W; 0 means no floor)."""
+    if rho_min > 0 and rho_o <= rho_min:
+        return [(f"tiers[{k}].rho_o_dbm", "cutoff threshold must exceed the receiver "
+                 f"sensitivity rho_min_dbm ({watts_to_dbm(rho_min):g} dBm)")]
+    return []
 
 
 @dataclass(frozen=True)
@@ -78,14 +101,20 @@ class TierConfig:
         eta: float = 4.0,
     ) -> "TierConfig":
         """Tier from BS/km^2, dBm and dB.  Raises :class:`ConfigError`,
-        naming the argument, when a level is too large for its linear value
-        to be a float."""
+        naming each offending argument, unless intensity, cutoff and SINR
+        threshold are finite and positive in SI units and ``eta`` is finite
+        and exceeds 2."""
         errors: list[tuple[str, str]] = []
         tier = cls(
-            intensity=lambda_per_km2 * KM2_PER_M2,
-            rho_o=_to_si(errors, "rho_o_dbm", dbm_to_watts, rho_o_dbm),
-            theta=_to_si(errors, "theta_db", lambda db: 10.0 ** (db / 10.0), theta_db),
-            eta=eta,
+            intensity=_si(errors, "lambda_per_km2", lambda_per_km2,
+                          lambda x: x * KM2_PER_M2, lambda x: x > 0,
+                          "BS intensity must be positive"),
+            rho_o=_si(errors, "rho_o_dbm", rho_o_dbm, dbm_to_watts,
+                      lambda x: x > 0, "cutoff threshold must be positive"),
+            theta=_si(errors, "theta_db", theta_db, lambda db: 10.0 ** (db / 10.0),
+                      lambda x: x > 0, "SINR threshold must be positive"),
+            eta=_si(errors, "eta", eta, float, lambda x: x > 2,
+                    "path-loss exponent must exceed 2"),
         )
         if errors:
             raise ConfigError(errors)
@@ -96,6 +125,8 @@ class TierConfig:
 class NetworkConfig:
     """Tiers plus the global uplink parameters.
 
+    The constructor takes SI values as given and checks none of them; use
+    :meth:`from_engineering` for a checked config.
     ``p_max`` may be ``math.inf`` to model an unconstrained transmit power;
     the analytic special cases for that regime are then evaluated exactly.
     ``guard_margin`` of ``None`` selects the default guard of
@@ -105,7 +136,7 @@ class NetworkConfig:
     tiers: tuple[TierConfig, ...]
     p_max: float              # maximum UE transmit power, W (may be inf)
     noise: float              # noise power sigma^2, W
-    rho_min: float = 0.0      # receiver sensitivity, W (validated only)
+    rho_min: float = 0.0      # receiver sensitivity, W (bounds the cutoffs only)
     window_side: float = 20000.0   # simulation window edge, m
     guard_margin: float | None = None  # m; None -> auto
 
@@ -128,7 +159,10 @@ class NetworkConfig:
         return min(5.0 * reach, self.window_side / 4.0)
 
     def with_tier_rho_o(self, j: int, rho_o: float) -> "NetworkConfig":
-        """Copy of the config with tier ``j``'s cutoff replaced."""
+        """Copy of the config with tier ``j``'s cutoff replaced.  Raises
+        :class:`ConfigError` when ``rho_o`` does not exceed ``rho_min``."""
+        if errors := _floor_errors(j, rho_o, self.rho_min):
+            raise ConfigError(errors)
         tiers = tuple(
             replace(t, rho_o=rho_o) if k == j else t for k, t in enumerate(self.tiers)
         )
@@ -144,85 +178,39 @@ class NetworkConfig:
         window_km: float = 20.0,
         guard_km: float | None = None,
     ) -> "NetworkConfig":
-        """Validated network from watts, dBm and km.  ``None`` means no
+        """Checked network from watts, dBm and km.  ``None`` means no
         noise for ``noise_dbm``, no receiver-sensitivity floor for
-        ``rho_min_dbm`` and the automatic guard for ``guard_km``.  Raises
-        :class:`ConfigError`, naming the argument, when a level is too large
-        for its linear value to be a float, and otherwise for every violated
-        invariant."""
-        errors: list[tuple[str, str]] = []
+        ``rho_min_dbm`` and the automatic guard for ``guard_km``.
+
+        Raises :class:`ConfigError`, naming each offending argument, unless
+        there is a tier and every cutoff exceeds the sensitivity floor;
+        ``p_max_watts`` is positive (``inf`` allowed); noise and floor are
+        finite and nonnegative in watts; ``window_km`` is finite and
+        positive; and ``guard_km``, when given, is finite and nonnegative.
+        """
+        tiers = tuple(tiers)
+        errors = [] if tiers else [("tiers", "at least one tier is required")]
         config = cls(
-            tiers=tuple(tiers),
-            p_max=float(p_max_watts),
-            noise=0.0 if noise_dbm is None else _to_si(
-                errors, "noise_dbm", dbm_to_watts, noise_dbm),
-            rho_min=0.0 if rho_min_dbm is None else _to_si(
-                errors, "rho_min_dbm", dbm_to_watts, rho_min_dbm),
-            window_side=window_km * 1000.0,
-            guard_margin=None if guard_km is None else guard_km * 1000.0,
+            tiers=tiers,
+            p_max=_si(errors, "p_max_watts", p_max_watts, float, lambda x: x > 0,
+                      "maximum transmit power must be positive", allow_inf=True),
+            noise=0.0 if noise_dbm is None else _si(
+                errors, "noise_dbm", noise_dbm, dbm_to_watts, lambda x: x >= 0,
+                "noise power must be nonnegative"),
+            rho_min=0.0 if rho_min_dbm is None else _si(
+                errors, "rho_min_dbm", rho_min_dbm, dbm_to_watts, lambda x: x >= 0,
+                "receiver sensitivity must be nonnegative"),
+            window_side=_si(errors, "window_km", window_km, lambda x: x * 1000.0,
+                            lambda x: x > 0, "window side must be positive"),
+            guard_margin=None if guard_km is None else _si(
+                errors, "guard_km", guard_km, lambda x: x * 1000.0,
+                lambda x: x >= 0, "guard margin must be nonnegative"),
         )
+        for k, t in enumerate(tiers):
+            errors += _floor_errors(k, t.rho_o, config.rho_min)
         if errors:
             raise ConfigError(errors)
-        return validate(config)
-
-
-def _check_number(errors: list, path: str, value, allow_inf: bool = False) -> bool:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        errors.append((path, f"not a number: {value!r}"))
-        return False
-    if math.isnan(v):
-        errors.append((path, "must not be NaN"))
-        return False
-    if math.isinf(v) and not allow_inf:
-        errors.append((path, "must be finite"))
-        return False
-    return True
-
-
-def validate(config: NetworkConfig) -> NetworkConfig:
-    """Check every invariant of ``config`` and return it unchanged.
-
-    Raises :class:`ConfigError` carrying the full list of violations so a
-    bad file is diagnosed in one pass.
-    """
-    errors: list[tuple[str, str]] = []
-    if len(config.tiers) < 1:
-        errors.append(("tiers", "at least one tier is required"))
-    for k, t in enumerate(config.tiers):
-        base = f"tiers[{k}]"
-        if _check_number(errors, f"{base}.intensity", t.intensity) and not t.intensity > 0:
-            errors.append((f"{base}.intensity", "BS intensity must be positive"))
-        if _check_number(errors, f"{base}.rho_o", t.rho_o) and not t.rho_o > 0:
-            errors.append((f"{base}.rho_o", "cutoff threshold must be positive"))
-        if _check_number(errors, f"{base}.theta", t.theta) and not t.theta > 0:
-            errors.append((f"{base}.theta", "SINR threshold must be positive"))
-        if _check_number(errors, f"{base}.eta", t.eta) and not t.eta > 2:
-            errors.append((f"{base}.eta", "path-loss exponent must exceed 2"))
-        if (
-            isinstance(t.rho_o, (int, float))
-            and isinstance(config.rho_min, (int, float))
-            and 0 < t.rho_o <= config.rho_min
-        ):
-            errors.append(
-                (f"{base}.rho_o", "cutoff threshold must exceed the receiver "
-                                  f"sensitivity rho_min ({config.rho_min} W)")
-            )
-    if _check_number(errors, "p_max", config.p_max, allow_inf=True) and not config.p_max > 0:
-        errors.append(("p_max", "maximum transmit power must be positive"))
-    if _check_number(errors, "noise", config.noise) and not config.noise >= 0:
-        errors.append(("noise", "noise power must be nonnegative"))
-    if _check_number(errors, "rho_min", config.rho_min) and not config.rho_min >= 0:
-        errors.append(("rho_min", "receiver sensitivity must be nonnegative"))
-    if _check_number(errors, "window_side", config.window_side) and not config.window_side > 0:
-        errors.append(("window_side", "window side must be positive"))
-    if config.guard_margin is not None:
-        if _check_number(errors, "guard_margin", config.guard_margin) and not config.guard_margin >= 0:
-            errors.append(("guard_margin", "guard margin must be nonnegative"))
-    if errors:
-        raise ConfigError(errors)
-    return config
+        return config
 
 
 @dataclass(frozen=True)
@@ -312,33 +300,43 @@ def network_from_mapping(mapping: Mapping) -> NetworkConfig:
     """Build a :class:`NetworkConfig` from a parsed config file through the
     two ``from_engineering`` constructors.
 
-    Every unknown, missing or malformed key, and every tier level too large
-    to convert, goes into one :class:`ConfigError`; the network levels and
-    the invariants are checked once all of those parsed.
+    Every unknown, missing or malformed key goes into one
+    :class:`ConfigError`; once every value parses, every range error of the
+    constructors goes into one :class:`ConfigError`, under its file key.
     """
     errors: list[tuple[str, str]] = []
     raw_tiers = mapping.get("tiers")
     if not isinstance(raw_tiers, Sequence) or isinstance(raw_tiers, (str, bytes)) or not raw_tiers:
         errors.append(("tiers", "must be a non-empty list of tier tables"))
         raw_tiers = []
-    tiers = []
+    tier_kwargs = []
     for k, entry in enumerate(raw_tiers):
         base = f"tiers[{k}]"
         if not isinstance(entry, Mapping):
             errors.append((base, "must be a table"))
             continue
-        tier_errors = [(f"{base}.{key}", "missing key")
-                       for key in _REQUIRED_TIER_KEYS if key not in entry]
-        kwargs = _parse(tier_errors, entry, _TIER_KEYS, f"{base}.")
-        if not tier_errors:
-            try:
-                tiers.append(TierConfig.from_engineering(**kwargs))
-            except ConfigError as exc:
-                tier_errors = [(f"{base}.{key}", msg) for key, msg in exc.errors]
-        errors += tier_errors
+        errors += [(f"{base}.{key}", "missing key")
+                   for key in _REQUIRED_TIER_KEYS if key not in entry]
+        tier_kwargs.append(_parse(errors, entry, _TIER_KEYS, f"{base}."))
     network = _parse(
         errors, {key: v for key, v in mapping.items() if key != "tiers"}, _NETWORK_KEYS
     )
     if errors:
         raise ConfigError(errors)
-    return NetworkConfig.from_engineering(tiers, **network)
+    tiers = []
+    for k, kwargs in enumerate(tier_kwargs):
+        try:
+            tiers.append(TierConfig.from_engineering(**kwargs))
+        except ConfigError as exc:
+            errors += [(f"tiers[{k}].{key}", msg) for key, msg in exc.errors]
+            # a stand-in keeping the cutoff, if it converted, for the floor check
+            bad_cutoff = any(key == "rho_o_dbm" for key, _ in exc.errors)
+            rho_o = math.nan if bad_cutoff else dbm_to_watts(kwargs["rho_o_dbm"])
+            tiers.append(TierConfig(math.nan, rho_o, math.nan, math.nan))
+    try:
+        config = NetworkConfig.from_engineering(tiers, **network)
+    except ConfigError as exc:
+        errors += exc.errors
+    if errors:
+        raise ConfigError(errors)
+    return config

@@ -541,10 +541,10 @@ def _mean_estimate(values: np.ndarray) -> EstimateWithCI:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Per-metric estimates with confidence intervals, plus saturation
-    bookkeeping.  The composite fields are derived from the component
-    means through the exact outage/rate identities, with half-widths
-    propagated to first order."""
+    """Per-metric estimates with confidence intervals, plus the
+    discarded-realization count.  The composite fields are derived from the
+    component means through the exact outage/rate identities, with
+    half-widths propagated to first order."""
 
     truncation_outage: EstimateWithCI
     sinr_outage: EstimateWithCI

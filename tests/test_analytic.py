@@ -22,7 +22,7 @@ from upcell.analytic import (
     spectral_efficiency,
     truncation_outage,
 )
-from upcell.model import NetworkConfig, TierConfig, dbm_to_watts, validate
+from upcell.model import NetworkConfig, TierConfig, dbm_to_watts
 from upcell.specfun import tail_interference_integral
 
 # frozen from the independent oracles coded in this file (see the

@@ -292,7 +292,7 @@ class TestSweepVerbs:
         out = tmp_path / "opt.csv"
         code = main([
             "optimize", "--config", paper_config, "--output", str(out),
-            "--from", "-100", "--to", "-60", "--steps", "21",
+            "--from", "-88", "--to", "-60", "--steps", "15",
             "--tol-db", "0.05",
         ])
         assert code == 0
@@ -302,6 +302,40 @@ class TestSweepVerbs:
         starred = [r for r in rows if r[-1] == "1"]
         star = dict(zip(header, starred[0]))
         assert float(star["O_t"]) <= min(o_t.values()) + 1e-12
+
+    @pytest.mark.parametrize("verb", ["sweep", "optimize"])
+    @pytest.mark.parametrize("start", ["-90", "-100"])
+    def test_grid_at_or_below_sensitivity_exits_2(self, verb, start, paper_config,
+                                                  tmp_path, capsys):
+        # the paper config's floor is rho_min_dbm = -90
+        out = tmp_path / "x.csv"
+        code = main([verb, "--config", paper_config, "--output", str(out),
+                     "--from", start, "--to", "-60", "--steps", "3"])
+        assert code == 2
+        assert "tiers[0].rho_o_dbm" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+
+    def test_grid_optimum_reuses_sweep_report(self, tmp_path, monkeypatch):
+        calls = []
+        full_report = upcell.analytic.full_report
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return full_report(*args, **kwargs)
+
+        monkeypatch.setattr(upcell.analytic, "full_report", counted)
+        out = tmp_path / "opt.csv"
+        config = Path(__file__).resolve().parents[1] / "upbench/configs/closed.json"
+        assert main(["optimize", "--config", str(config), "--output", str(out),
+                     "--from", "-60", "--to", "-40", "--steps", "5"]) == 0
+        # one report per grid point, none more for the starred grid end
+        assert len(calls) == 5
+        _, rows = read_csv(out)
+        starred = [r for r in rows if r[-1] == "1"]
+        grid = {float(r[1]): r for r in rows if r[-1] == "0"}
+        assert float(starred[0][1]) == -60.0
+        assert starred[0][:-1] == grid[-60.0][:-1]
 
     def test_usage_error_without_grid(self, paper_config, tmp_path):
         with pytest.raises(SystemExit) as info:

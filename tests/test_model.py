@@ -1,7 +1,11 @@
 """Configuration model: unit conversions, validation, and the derived
 metric identities."""
 
+import inspect
+import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ from upcell.model import (
     TierConfig,
     dbm_to_watts,
     network_from_mapping,
-    validate,
     watts_to_dbm,
 )
 
@@ -60,7 +63,7 @@ class TestValidation:
         assert cfg.tiers[0].rho_o == pytest.approx(1e-10)
         assert cfg.tiers[0].theta == 1.0
         assert cfg.noise == pytest.approx(1e-12)
-        assert validate(cfg) is cfg
+        assert cfg.with_tier_rho_o(0, cfg.tiers[0].rho_o) == cfg
 
     def test_eta_at_divergence_boundary(self):
         with pytest.raises(ConfigError, match="path-loss exponent must exceed 2"):
@@ -73,27 +76,34 @@ class TestValidation:
             )
 
     def test_every_violation_reported(self):
-        bad = NetworkConfig(
-            tiers=(TierConfig(intensity=-1.0, rho_o=1e-10, theta=0.0, eta=2.0),),
-            p_max=-2.0,
-            noise=-1.0,
-            window_side=0.0,
-        )
+        # a -inf dB threshold is 0 linear; no dBm level is a negative
+        # noise power, so the noise is made infinite instead.  The tier's
+        # cutoff is checked against the floor although the tier failed.
+        bad = {
+            "tiers": [{"lambda_per_km2": -1.0, "rho_o_dbm": -95.0,
+                       "theta_db": -math.inf, "eta": 2.0}],
+            "p_max_watts": -2.0,
+            "noise_dbm": math.inf,
+            "rho_min_dbm": -90.0,
+            "window_km": 0.0,
+        }
         with pytest.raises(ConfigError) as info:
-            validate(bad)
+            network_from_mapping(bad)
         paths = {path for path, _ in info.value.errors}
         assert {
-            "tiers[0].intensity",
-            "tiers[0].theta",
+            "tiers[0].lambda_per_km2",
+            "tiers[0].theta_db",
             "tiers[0].eta",
-            "p_max",
-            "noise",
-            "window_side",
+            "tiers[0].rho_o_dbm",
+            "p_max_watts",
+            "noise_dbm",
+            "window_km",
         } <= paths
 
     def test_no_tiers(self):
-        with pytest.raises(ConfigError, match="at least one tier"):
-            validate(NetworkConfig(tiers=(), p_max=1.0, noise=0.0))
+        with pytest.raises(ConfigError, match="at least one tier") as info:
+            NetworkConfig.from_engineering(tiers=[])
+        assert [p for p, _ in info.value.errors] == ["tiers"]
 
     def test_infinite_p_max_allowed(self):
         cfg = paper_defaults(p_max_watts=math.inf)
@@ -229,14 +239,12 @@ class TestMappingIngestion:
         # identical analytic results whether the config came in engineering
         # units or was built directly in SI
         eng = paper_defaults()
-        si = validate(
-            NetworkConfig(
-                tiers=(TierConfig(2e-6, 1e-10, 1.0, 4.0),),
-                p_max=1.0,
-                noise=1e-12,
-                rho_min=1e-12,
-                window_side=20000.0,
-            )
+        si = NetworkConfig(
+            tiers=(TierConfig(2e-6, 1e-10, 1.0, 4.0),),
+            p_max=1.0,
+            noise=1e-12,
+            rho_min=1e-12,
+            window_side=20000.0,
         )
         for j in range(1):
             a = analytic.full_report(eng, j)
@@ -278,6 +286,94 @@ def test_file_and_python_routes_agree(mapping):
         [TierConfig.from_engineering(**t) for t in mapping["tiers"]], **network
     )
     assert network_from_mapping(mapping) == expected
+
+
+# the file keys: the arguments of the two constructors
+_TIER_ARGS = set(inspect.signature(TierConfig.from_engineering).parameters)
+_NETWORK_ARGS = set(inspect.signature(NetworkConfig.from_engineering).parameters)
+
+# one case per rule of the two constructors, each broken alone in a valid
+# file: (file key, value, reported path, message).  No dBm level is a
+# negative power, so the noise and the floor break only by overflow, NaN or
+# infinity.
+_RULES = [
+    ("tiers", [], "tiers", "must be a non-empty list of tier tables"),
+    ("lambda_per_km2", 0.0, "tiers[0].lambda_per_km2", "BS intensity must be positive"),
+    ("lambda_per_km2", math.inf, "tiers[0].lambda_per_km2", "must be finite"),
+    # 10^-503 W underflows to 0
+    ("rho_o_dbm", -5000.0, "tiers[0].rho_o_dbm", "cutoff threshold must be positive"),
+    ("rho_o_dbm", 4000.0, "tiers[0].rho_o_dbm",
+     "4000.0 is too large to convert to linear units"),
+    ("rho_o_dbm", math.nan, "tiers[0].rho_o_dbm", "must not be NaN"),
+    ("theta_db", -5000.0, "tiers[0].theta_db", "SINR threshold must be positive"),
+    ("theta_db", math.inf, "tiers[0].theta_db", "must be finite"),
+    ("eta", 2.0, "tiers[0].eta", "path-loss exponent must exceed 2"),
+    ("eta", math.inf, "tiers[0].eta", "must be finite"),
+    ("rho_min_dbm", -70.0, "tiers[0].rho_o_dbm",
+     "cutoff threshold must exceed the receiver sensitivity rho_min_dbm (-70 dBm)"),
+    ("p_max_watts", 0.0, "p_max_watts", "maximum transmit power must be positive"),
+    ("p_max_watts", math.nan, "p_max_watts", "must not be NaN"),
+    ("noise_dbm", math.inf, "noise_dbm", "must be finite"),
+    ("noise_dbm", 4000.0, "noise_dbm", "4000.0 is too large to convert to linear units"),
+    ("rho_min_dbm", math.nan, "rho_min_dbm", "must not be NaN"),
+    ("rho_min_dbm", math.inf, "rho_min_dbm", "must be finite"),
+    ("window_km", 0.0, "window_km", "window side must be positive"),
+    ("window_km", math.inf, "window_km", "must be finite"),
+    ("guard_km", -1.0, "guard_km", "guard margin must be nonnegative"),
+    ("guard_km", math.inf, "guard_km", "must be finite"),
+]
+
+
+@pytest.mark.parametrize("key, value, path, message", _RULES,
+                         ids=[f"{key}={value}" for key, value, *_ in _RULES])
+def test_each_rule_rejects_under_its_file_key(key, value, path, message):
+    mapping = {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0}]}
+    (mapping["tiers"][0] if key in _TIER_ARGS else mapping)[key] = value
+    with pytest.raises(ConfigError) as info:
+        network_from_mapping(mapping)
+    assert info.value.errors == [(path, message)]
+
+
+# values that break each key's rule, whatever the rest of a _MAPPINGS file
+# holds (0 dBm lies above every cutoff there)
+_OUT_OF_RANGE = {
+    "lambda_per_km2": [0.0, -1.0, math.inf],
+    "rho_o_dbm": [-5000.0, 4000.0, math.nan],
+    "theta_db": [-5000.0, 4000.0, math.inf],
+    "eta": [2.0, 1.0, math.nan],
+    "p_max_watts": [0.0, -1.0, math.nan],
+    "noise_dbm": [4000.0, math.inf],
+    "rho_min_dbm": [0.0, 4000.0],
+    "window_km": [0.0, -1.0, math.inf],
+    "guard_km": [-1.0, math.inf],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MAPPINGS, st.data())
+def test_errors_named_by_file_keys(mapping, data):
+    key = data.draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+    if key in _TIER_ARGS:
+        table = data.draw(st.sampled_from(mapping["tiers"]))
+    else:
+        table = mapping
+    table[key] = data.draw(st.sampled_from(_OUT_OF_RANGE[key]))
+    with pytest.raises(ConfigError) as info:
+        network_from_mapping(mapping)
+    held = {"tiers"} | set(mapping) | {
+        f"tiers[{k}].{tier_key}"
+        for k, tier in enumerate(mapping["tiers"]) for tier_key in tier
+    }
+    assert {path for path, _ in info.value.errors} <= held
+
+
+def test_readme_config_matches_constructors():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    mapping = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    network_from_mapping(mapping)
+    assert set(mapping) == _NETWORK_ARGS
+    for tier in mapping["tiers"]:
+        assert set(tier) == _TIER_ARGS
 
 
 class TestMetricsReport:
