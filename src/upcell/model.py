@@ -51,10 +51,13 @@ def watts_to_dbm(x_watts: float) -> float:
 def _si(errors: list, key: str, value, convert, valid, rule: str,
         allow_inf: bool = False) -> float:
     """``convert(value)``, the SI value of the argument ``key``, or NaN and
-    an error at ``key`` when ``value`` is no number or its SI value
-    overflows, is NaN, is infinite (unless ``allow_inf``) or fails
-    ``valid``, the check that ``rule`` states."""
+    an error at ``key`` when ``value`` is no number (a bool included) or
+    overflows, or its SI value is NaN, is infinite (unless ``allow_inf``)
+    or fails ``valid``, the check that ``rule`` states.  No other check
+    flags the NaN, so each bad value is reported once."""
     try:
+        if isinstance(value, bool):  # float(True) is 1.0
+            raise TypeError
         si = convert(float(value))
     except (TypeError, ValueError):
         problem = f"not a number: {value!r}"
@@ -263,78 +266,54 @@ class MetricsReport:
 
 _REQUIRED_TIER_KEYS = ("lambda_per_km2", "rho_o_dbm")
 _TIER_KEYS = _REQUIRED_TIER_KEYS + ("theta_db", "eta")
-_NULLABLE_KEYS = ("noise_dbm", "rho_min_dbm", "guard_km")
-_NETWORK_KEYS = ("p_max_watts", "window_km") + _NULLABLE_KEYS
+_NETWORK_KEYS = ("p_max_watts", "noise_dbm", "rho_min_dbm", "window_km", "guard_km")
 
 
-def _coerce(errors: list, path: str, value, allow_inf: bool = False) -> float:
-    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity") and allow_inf:
-        return math.inf
-    # float(True) is 1.0, but a JSON boolean is no number
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    errors.append((path, f"not a number: {value!r}"))
-    return math.nan
-
-
-def _parse(errors: list, table: Mapping, keys: Sequence[str], base: str = "") -> dict:
-    """Keyword arguments from the entries of ``table`` whose key is in
-    ``keys``; every other key, and every malformed number, is reported at
-    ``base`` + its key."""
-    kwargs = {}
-    for key, value in table.items():
-        path = f"{base}{key}"
-        if key not in keys:
-            errors.append((path, "unknown key"))
-        elif value is None and key in _NULLABLE_KEYS:
-            kwargs[key] = None
-        else:
-            kwargs[key] = _coerce(errors, path, value, allow_inf=key == "p_max_watts")
-    return kwargs
+def _known(errors: list, table: Mapping, keys: Sequence[str], base: str = "") -> dict:
+    """The entries of ``table`` whose key is in ``keys``; every other key
+    is reported at ``base`` + its key."""
+    errors += [(f"{base}{key}", "unknown key") for key in table if key not in keys]
+    return {key: value for key, value in table.items() if key in keys}
 
 
 def network_from_mapping(mapping: Mapping) -> NetworkConfig:
     """Build a :class:`NetworkConfig` from a parsed config file through the
     two ``from_engineering`` constructors.
 
-    Every unknown, missing or malformed key goes into one
-    :class:`ConfigError`; once every value parses, every range error of the
-    constructors goes into one :class:`ConfigError`, under its file key.
+    Every unknown or missing key, malformed number and range error goes
+    into one :class:`ConfigError`, each once, under its file key.
     """
     errors: list[tuple[str, str]] = []
     raw_tiers = mapping.get("tiers")
     if not isinstance(raw_tiers, Sequence) or isinstance(raw_tiers, (str, bytes)) or not raw_tiers:
         errors.append(("tiers", "must be a non-empty list of tier tables"))
         raw_tiers = []
-    tier_kwargs = []
+    # a stand-in replaces each tier that is no table or fails its checks, so
+    # later tiers keep their index, and keeps a cutoff that converted, for
+    # the floor check; it also stands in for a bad tier list, lest the
+    # network constructor report that list a second time
+    stand_in = TierConfig(math.nan, math.nan, math.nan, math.nan)
+    tiers = []
     for k, entry in enumerate(raw_tiers):
         base = f"tiers[{k}]"
         if not isinstance(entry, Mapping):
             errors.append((base, "must be a table"))
+            tiers.append(stand_in)
             continue
-        errors += [(f"{base}.{key}", "missing key")
-                   for key in _REQUIRED_TIER_KEYS if key not in entry]
-        tier_kwargs.append(_parse(errors, entry, _TIER_KEYS, f"{base}."))
-    network = _parse(
-        errors, {key: v for key, v in mapping.items() if key != "tiers"}, _NETWORK_KEYS
-    )
-    if errors:
-        raise ConfigError(errors)
-    tiers = []
-    for k, kwargs in enumerate(tier_kwargs):
+        missing = [key for key in _REQUIRED_TIER_KEYS if key not in entry]
+        errors += [(f"{base}.{key}", "missing key") for key in missing]
+        kwargs = dict.fromkeys(missing, math.nan) | _known(errors, entry, _TIER_KEYS, f"{base}.")
         try:
             tiers.append(TierConfig.from_engineering(**kwargs))
         except ConfigError as exc:
-            errors += [(f"tiers[{k}].{key}", msg) for key, msg in exc.errors]
-            # a stand-in keeping the cutoff, if it converted, for the floor check
+            errors += [(f"{base}.{key}", msg) for key, msg in exc.errors if key not in missing]
             bad_cutoff = any(key == "rho_o_dbm" for key, _ in exc.errors)
-            rho_o = math.nan if bad_cutoff else dbm_to_watts(kwargs["rho_o_dbm"])
-            tiers.append(TierConfig(math.nan, rho_o, math.nan, math.nan))
+            rho_o = math.nan if bad_cutoff else dbm_to_watts(float(kwargs["rho_o_dbm"]))
+            tiers.append(replace(stand_in, rho_o=rho_o))
+    network = _known(errors, {key: v for key, v in mapping.items() if key != "tiers"},
+                     _NETWORK_KEYS)
     try:
-        config = NetworkConfig.from_engineering(tiers, **network)
+        config = NetworkConfig.from_engineering(tiers or [stand_in], **network)
     except ConfigError as exc:
         errors += exc.errors
     if errors:

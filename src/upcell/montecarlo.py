@@ -593,6 +593,8 @@ def estimate_metrics(
     ``workers`` is, because every realization owns its own keyed stream
     and the reduction runs in realization order.  ``workers`` must be at
     least 1, and ``tier`` (the measured tier) a tier index of ``config``.
+    Raises :class:`SaturationError` when more than half the realizations
+    are discarded.
     """
     if iterations < 100:
         raise ValueError(f"at least 100 iterations required, got {iterations}")
@@ -611,9 +613,9 @@ def estimate_metrics(
         for i in range(0, iterations, chunk_size)
     ]
     if workers > 1:
-        # this process builds no realization: import the simulator's scipy
-        # module here, once, so that forked workers inherit it instead of
-        # each importing it again
+        # this process builds no realization, but importing the
+        # simulator's scipy module here lets forked workers inherit it; a
+        # spawn or forkserver worker imports it again all the same
         import scipy.spatial  # noqa: F401
 
         # the platform's default start method: fork is missing on Windows
@@ -627,9 +629,12 @@ def estimate_metrics(
     valid = records[:, 0] == 1.0
     n_valid = int(valid.sum())
     n_discarded = iterations - n_valid
-    if n_valid == 0:
-        raise SaturationError("every realization was discarded: an empty inner "
-                              "window or an unscheduled inner BS in each")
+    if n_discarded > iterations / 2:
+        raise SaturationError(
+            f"{n_discarded}/{iterations} realizations discarded, more than half: "
+            "an empty inner window, an inner BS left unscheduled or an "
+            "interferer on the tagged BS"
+        )
     outages = records[valid, 1]
     o_s = _proportion_estimate(int(outages.sum()), n_valid)
     rate = _mean_estimate(records[valid, 2])

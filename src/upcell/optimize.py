@@ -81,11 +81,6 @@ class SweepResult:
         """The report at the grid optimum ``argopt``."""
         return self.reports[self.opt_index]
 
-    @property
-    def opt_value(self) -> float:
-        """The objective at the grid optimum ``argopt``."""
-        return float(OBJECTIVES[self.objective][0](self.opt_report))
-
 
 def sweep(
     config: NetworkConfig,

@@ -533,6 +533,32 @@ _REPORT_FIELDS = ("truncation_outage", "sinr_outage", "total_outage",
                   "mean_tx_power")
 
 
+@st.composite
+def _common_exponent_network(draw):
+    eta = draw(st.floats(2.5, 6.0))
+    tiers = draw(st.lists(
+        st.builds(TierConfig.from_engineering, lambda_per_km2=st.floats(0.1, 100.0),
+                  rho_o_dbm=st.floats(-110.0, -40.0), theta_db=st.floats(-10.0, 10.0),
+                  eta=st.just(eta)),
+        min_size=1, max_size=3))
+    return NetworkConfig.from_engineering(tiers, p_max_watts=draw(_P_MAX),
+                                          noise_dbm=draw(_NOISE_DBM))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_common_exponent_network(), st.sampled_from([1 / 16, 1 / 4, 4, 16]))
+def test_metrics_invariant_under_scale_map(scaled, config, c):
+    # an exact oracle: c times the density, with cutoffs and noise scaled
+    # to match, is the same network seen from farther away.  A subnormal
+    # O_p carries too few bits for 1e-12 relative, hence the 1e-300 floor
+    other = scaled(config, c)
+    for j in range(config.n_tiers):
+        want, got = full_report(config, j), full_report(other, j)
+        for field in _REPORT_FIELDS:
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                       rtol=1e-12, atol=1e-300, err_msg=f"{j} {field}")
+
+
 @settings(max_examples=40, deadline=None)
 @given(_TIER, st.lists(st.floats(0.1, 100.0), min_size=2, max_size=3), _P_MAX,
        _NOISE_DBM)

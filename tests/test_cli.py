@@ -127,6 +127,18 @@ class TestAnalyze:
         assert code == 2
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", ["tiers[0].lambda_per_km2", "window_km"])
+    def test_integer_too_large_for_a_float_exits_2(self, path, tmp_path, capsys):
+        cfg = json.loads(json.dumps(PAPER_CONFIG))
+        table, _, key = path.rpartition(".")
+        (cfg["tiers"][0] if table else cfg)[key] = 10**400
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(cfg))
+        code = main(["analyze", "--config", str(config), "--output",
+                     str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"{path}: {10**400} is too large" in capsys.readouterr().err
+
     def test_boolean_number_exits_2(self, tmp_path, capsys):
         cfg = dict(PAPER_CONFIG, p_max_watts=True)
         config = tmp_path / "bool.json"

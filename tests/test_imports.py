@@ -1,19 +1,23 @@
-"""Which scipy modules a process loads.  Each check runs in a fresh
-interpreter: this one has scipy.integrate already, because pytest imports
-it to resolve the IntegrationWarning filter."""
+"""Which scipy modules a process loads, and what its worker pool returns
+under each start method.  Each check runs in a fresh interpreter: this
+one has scipy.integrate already (pytest imports it to resolve the
+IntegrationWarning filter), and a process sets its start method once."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import upcell
 
 SRC = str(Path(upcell.__file__).resolve().parents[1])
 
 
-def run_fresh(code: str) -> None:
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+def run_fresh(code: str, *args: str) -> None:
+    subprocess.run([sys.executable, "-c", code, *args], check=True, timeout=120,
                    env={**os.environ, "PYTHONPATH": SRC})
 
 
@@ -33,7 +37,8 @@ def test_package_import_loads_no_quadpack_or_qhull():
 
 def test_parallel_run_imports_spatial_before_the_pool():
     # the parent of a pool builds no realization, yet imports
-    # scipy.spatial once so that forked workers inherit it
+    # scipy.spatial, which forked workers inherit; this saves nothing under
+    # spawn or forkserver, whose workers import it again
     run_fresh(
         "import sys\n"
         "from upcell import NetworkConfig, TierConfig, estimate_metrics\n"
@@ -42,4 +47,21 @@ def test_parallel_run_imports_spatial_before_the_pool():
         "    window_km=2.0, guard_km=0.5)\n"
         "estimate_metrics(cfg, 100, seed=1, workers=2)\n"
         "assert 'scipy.spatial' in sys.modules\n"
+    )
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_matches_one_process_under_start_method(method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    run_fresh(
+        "import multiprocessing, sys\n"
+        "from upcell import NetworkConfig, TierConfig, estimate_metrics\n"
+        "multiprocessing.set_start_method(sys.argv[1])\n"
+        "cfg = NetworkConfig.from_engineering(\n"
+        "    tiers=[TierConfig.from_engineering(20.0, -70.0)],\n"
+        "    window_km=2.0, guard_km=0.5)\n"
+        "pool = estimate_metrics(cfg, 200, seed=1, workers=2)\n"
+        "assert pool == estimate_metrics(cfg, 200, seed=1, workers=1)\n",
+        method,
     )

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import re
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -192,17 +193,32 @@ class TestMappingIngestion:
             network_from_mapping({"tiers": [tier]})
         assert info.value.errors == [(f"tiers[0].{key}", "missing key")]
 
-    def test_range_checked_once_every_value_parsed(self):
-        # eta = 2 is out of range, but the malformed p_max is reported alone
-        mapping = {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0, "eta": 2.0}],
+    def test_malformed_and_range_errors_reported_together(self):
+        # the malformed p_max and the out-of-range eta, in one ConfigError
+        mapping = {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0, "eta": 2}],
                    "p_max_watts": "x"}
         with pytest.raises(ConfigError) as info:
             network_from_mapping(mapping)
-        assert [p for p, _ in info.value.errors] == ["p_max_watts"]
-        del mapping["p_max_watts"]
+        assert sorted(info.value.errors) == [
+            ("p_max_watts", "not a number: 'x'"),
+            ("tiers[0].eta", "path-loss exponent must exceed 2"),
+        ]
+
+    def test_bool_argument_rejected_by_constructor(self):
         with pytest.raises(ConfigError) as info:
-            network_from_mapping(mapping)
-        assert [p for p, _ in info.value.errors] == ["tiers[0].eta"]
+            TierConfig.from_engineering(True, -70.0)
+        assert info.value.errors == [("lambda_per_km2", "not a number: True")]
+
+    def test_tier_missing_a_key_keeps_its_other_checks(self):
+        # the tier lacking its intensity still has its exponent and its
+        # cutoff checked, the cutoff against the floor
+        with pytest.raises(ConfigError) as info:
+            network_from_mapping(
+                {"tiers": [{"rho_o_dbm": -95.0, "eta": 2.0}], "rho_min_dbm": -90.0}
+            )
+        assert [p for p, _ in info.value.errors] == [
+            "tiers[0].lambda_per_km2", "tiers[0].eta", "tiers[0].rho_o_dbm",
+        ]
 
     def test_omitted_sensitivity_sets_no_floor_on_both_routes(self):
         # a -95 dBm cutoff would fail a -90 dBm floor
@@ -300,6 +316,9 @@ _RULES = [
     ("tiers", [], "tiers", "must be a non-empty list of tier tables"),
     ("lambda_per_km2", 0.0, "tiers[0].lambda_per_km2", "BS intensity must be positive"),
     ("lambda_per_km2", math.inf, "tiers[0].lambda_per_km2", "must be finite"),
+    # a JSON integer too large for a float
+    ("lambda_per_km2", 10**400, "tiers[0].lambda_per_km2",
+     f"{10**400!r} is too large to convert to linear units"),
     # 10^-503 W underflows to 0
     ("rho_o_dbm", -5000.0, "tiers[0].rho_o_dbm", "cutoff threshold must be positive"),
     ("rho_o_dbm", 4000.0, "tiers[0].rho_o_dbm",
@@ -313,19 +332,23 @@ _RULES = [
      "cutoff threshold must exceed the receiver sensitivity rho_min_dbm (-70 dBm)"),
     ("p_max_watts", 0.0, "p_max_watts", "maximum transmit power must be positive"),
     ("p_max_watts", math.nan, "p_max_watts", "must not be NaN"),
+    ("p_max_watts", None, "p_max_watts", "not a number: None"),
     ("noise_dbm", math.inf, "noise_dbm", "must be finite"),
     ("noise_dbm", 4000.0, "noise_dbm", "4000.0 is too large to convert to linear units"),
     ("rho_min_dbm", math.nan, "rho_min_dbm", "must not be NaN"),
     ("rho_min_dbm", math.inf, "rho_min_dbm", "must be finite"),
     ("window_km", 0.0, "window_km", "window side must be positive"),
     ("window_km", math.inf, "window_km", "must be finite"),
+    ("window_km", 10**400, "window_km",
+     f"{10**400!r} is too large to convert to linear units"),
+    ("window_km", None, "window_km", "not a number: None"),
     ("guard_km", -1.0, "guard_km", "guard margin must be nonnegative"),
     ("guard_km", math.inf, "guard_km", "must be finite"),
 ]
 
 
 @pytest.mark.parametrize("key, value, path, message", _RULES,
-                         ids=[f"{key}={value}" for key, value, *_ in _RULES])
+                         ids=[f"{key}={reprlib.repr(value)}" for key, value, *_ in _RULES])
 def test_each_rule_rejects_under_its_file_key(key, value, path, message):
     mapping = {"tiers": [{"lambda_per_km2": 2.0, "rho_o_dbm": -70.0}]}
     (mapping["tiers"][0] if key in _TIER_ARGS else mapping)[key] = value

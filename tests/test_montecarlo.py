@@ -294,6 +294,12 @@ class TestSaturation:
         with pytest.raises(SaturationError):
             estimate_metrics(small_config(rho_o_dbm=-60.0), 100, seed=0)
 
+    def test_mostly_discarded_raises(self):
+        # 0.05 BS / km^2 leaves the 2 km inner window empty in about 82% of
+        # realizations: the feasible few are no estimate of the network
+        with pytest.raises(SaturationError, match=r"^\d+/100 realizations discarded"):
+            estimate_metrics(small_config(lambda_per_km2=0.05), 100, seed=1)
+
     def test_empty_inner_window_raises(self):
         cfg = small_config(lambda_per_km2=0.05)
         seed = next(s for s in range(100) if realization_rng(s, 0).poisson(
@@ -799,6 +805,17 @@ class TestReproducibility:
         r1 = estimate_metrics(cfg, 120, seed=11)
         r2 = estimate_metrics(cfg, 120, seed=12)
         assert r1.sinr_outage != r2.sinr_outage
+
+
+@pytest.mark.parametrize("config", [small_config(), small_config(rho_o_dbm=-60.0)],
+                         ids=["triangulated", "disc"])
+def test_estimates_invariant_under_scale_map(config, scaled):
+    # c times the density, with cutoffs and noise scaled to match, is the
+    # same network seen from farther away: powers of 4 scale every length
+    # by a power of 2, exactly, so each accept decision stays the same
+    want = estimate_metrics(config, 200, seed=5)
+    for c in (4.0, 0.25):
+        assert estimate_metrics(scaled(config, c), 200, seed=5) == want, c
 
 
 class TestDistanceLaw:
