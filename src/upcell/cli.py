@@ -82,7 +82,7 @@ def _load_config(args) -> tuple[NetworkConfig, str]:
         raise ConfigError([(path, f"cannot read config: {exc}")]) from None
     try:
         mapping = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int literal too long
         raise ConfigError([(path, f"config is not valid JSON: {exc}")]) from None
     if not isinstance(mapping, dict):
         raise ConfigError([(path, "top-level config must be a JSON object")])

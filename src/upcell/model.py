@@ -9,6 +9,7 @@ constructors and :func:`network_from_mapping`.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -48,6 +49,16 @@ def watts_to_dbm(x_watts: float) -> float:
     return 10.0 * math.log10(x_watts) + 30.0
 
 
+def _shown(value) -> str:
+    """``value`` as an error message shows it: shortened by
+    :func:`reprlib.repr`, or only its type when even that fails, as for an
+    int past the interpreter's limit on int-to-str digits."""
+    try:
+        return reprlib.repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _si(errors: list, key: str, value, convert, valid, rule: str,
         allow_inf: bool = False) -> float:
     """``convert(value)``, the SI value of the argument ``key``, or NaN and
@@ -60,9 +71,9 @@ def _si(errors: list, key: str, value, convert, valid, rule: str,
             raise TypeError
         si = convert(float(value))
     except (TypeError, ValueError):
-        problem = f"not a number: {value!r}"
+        problem = f"not a number: {_shown(value)}"
     except OverflowError:
-        problem = f"{value!r} is too large to convert to linear units"
+        problem = f"{_shown(value)} is too large to convert to linear units"
     else:
         if math.isnan(si):
             problem = "must not be NaN"
@@ -163,8 +174,13 @@ class NetworkConfig:
 
     def with_tier_rho_o(self, j: int, rho_o: float) -> "NetworkConfig":
         """Copy of the config with tier ``j``'s cutoff replaced.  Raises
-        :class:`ConfigError` when ``rho_o`` does not exceed ``rho_min``."""
-        if errors := _floor_errors(j, rho_o, self.rho_min):
+        :class:`ConfigError` at ``tiers[j].rho_o_dbm`` unless ``rho_o`` is
+        finite and positive, the rule of a file's cutoff, and exceeds
+        ``rho_min``."""
+        errors: list[tuple[str, str]] = []
+        _si(errors, f"tiers[{j}].rho_o_dbm", rho_o, float, lambda x: x > 0,
+            "cutoff threshold must be positive")
+        if errors := errors or _floor_errors(j, rho_o, self.rho_min):
             raise ConfigError(errors)
         tiers = tuple(
             replace(t, rho_o=rho_o) if k == j else t for k, t in enumerate(self.tiers)

@@ -1,41 +1,33 @@
 """Monte Carlo simulation of the uplink system model.
 
-Protocol per realization:
+Protocol per realization, one stage per step; :func:`build_realization`
+composes them and picks the tagged BS:
 
-1. Draw each tier's BSs as an independent PPP on an expanded square window
-   (the inner measurement window plus a guard ring on every side).
-2. Schedule one UE per BS, guard ring included, uniform over the BS's
-   eligible region: the points of the expanded window that the BS serves
-   and whose channel-inversion power fits the budget.  Each BS draws
-   rejection-sampling proposals uniformly in a region that contains that
-   region: a disc of radius min(reach, cross-tier bound) with reach
-   (P_u / rho_o)^(1/eta), or its same-tier Voronoi polygon.  The
-   cross-tier bound holds for a BS of a tier whose exponent exceeds
-   another tier's, and shrinks as that tier's nearest BS gets closer.  A
-   tier whose discs hold more than ``TRIANGULATE_ABOVE`` same-tier BSs on
-   average (pi lambda_k times the mean squared radius, lambda_k counted
-   in the expanded window; on a single tier, the exponent of O_p) is
-   triangulated, and each of its BSs draws from whichever of its polygon
-   and its disc is smaller; below that, a polygon seldom beats the disc
-   and the triangulation costs more than it saves.  A polygon is a fan of
-   triangles from the BS to its cell's edges: a proposal picks one with
-   probability proportional to its area, then a uniform point in it.  Any
-   region that holds the eligible region gives the same UE law, so the
-   choice changes speed, never the distribution.  The BS keeps the first
-   proposal that lies in the window, is served by it, and fits the
+1. Layout: draw each tier's BSs as an independent PPP on an expanded
+   square window (the inner measurement window plus a guard ring on every
+   side).
+2. :func:`_schedule`: schedule one UE per BS, guard ring included, uniform
+   over the BS's eligible region: the points of the expanded window that
+   the BS serves and whose channel-inversion power fits the budget.  Each
+   BS draws rejection-sampling proposals uniformly in a region that
+   contains that region, a disc or its same-tier Voronoi polygon:
+   :func:`_proposal_regions` chooses it, and :class:`_Regions` draws from
+   it.  Any region that holds the eligible region gives the same UE law,
+   so the choice changes speed, never the distribution.  The BS keeps the
+   first proposal that lies in the window, is served by it, and fits the
    budget.  Unresolved BSs get twice as many proposals each round; a
    realization in which an inner-window BS is still unresolved after the
    round cap is discarded and counted.
-3. Measure the BS nearest the window centre: the BS whose cell covers
-   the centre, so a BS is picked with probability proportional to its
-   Voronoi area.  It is neither the typical BS nor the serving BS of a
-   typical active UE (ROADMAP open item 1).  Its uplink is received at
-   rho_o * h with h a unit-mean exponential fade, while every other
-   scheduled UE interferes with power P_i h_i d_i^(-eta_j).  A
+3. Tag the BS nearest the window centre: the BS whose cell covers the
+   centre, so a BS is picked with probability proportional to its Voronoi
+   area.  It is neither the typical BS nor the serving BS of a typical
+   active UE (ROADMAP open item 1).  :func:`_measure`: its uplink is
+   received at rho_o * h with h a unit-mean exponential fade, while every
+   other scheduled UE interferes with power P_i h_i d_i^(-eta_j).  A
    realization with an interfering UE on the tagged BS itself (d_i = 0)
    is discarded and counted.
-4. Drop one independent probe UE in the inner window to sample the
-   truncation-outage indicator.
+4. :func:`_probe`: drop one independent probe UE in the inner window to
+   sample the truncation-outage indicator.
 
 Association follows the best average link: argmin over BSs of
 r^eta_tier(BS) with r in metres, which reduces to nearest-BS association
@@ -222,33 +214,43 @@ def _fan_areas(edges: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(x1 * y2 - y1 * x2)
 
 
-class _Fans:
-    """The Voronoi polygons of the BSs that draw their proposals there:
-    BS b owns fan triangles ``lo[b]:hi[b]``, none for a BS that draws from
-    its disc."""
+class _Regions:
+    """Per BS, tiers concatenated, the region its proposals are drawn from:
+    the disc of radius ``radius[b]`` about it, or its Voronoi polygon when
+    it owns fan triangles.  ``bs`` names the BS of each fan triangle, in
+    non-decreasing order, and ``edges`` its two edges from that BS."""
 
-    def __init__(self, n_bs: int, bs: np.ndarray, edges: np.ndarray):
-        # ``bs`` is non-decreasing: each BS's triangles are contiguous
-        count = np.bincount(bs, minlength=n_bs)
-        self.hi = np.cumsum(count)
-        self.lo = self.hi - count
+    def __init__(self, radius: np.ndarray, bs: np.ndarray, edges: np.ndarray):
+        self.radius = radius
+        # BS b owns the contiguous fan triangles lo[b]:hi[b], none for a disc
+        self.lo = np.searchsorted(bs, np.arange(len(radius)))
+        self.hi = np.searchsorted(bs, np.arange(len(radius)), side="right")
         self.edges = edges
-        self.cum = np.cumsum(_fan_areas(edges))
+        # cum[i] is the area of the fan triangles before triangle i
+        self.cum = np.concatenate(([0.0], np.cumsum(_fan_areas(edges))))
 
-    def offsets(self, bs: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Offsets from each of ``bs`` uniform in its polygon, shape
-        ``w.shape + (2,)``: ``w`` picks a fan triangle with probability
-        proportional to its area, the pair ``u`` (shape (2,) + w.shape)
-        a point in it."""
-        lo, hi = self.lo[bs, np.newaxis], self.hi[bs, np.newaxis]
-        before = np.where(lo > 0, self.cum[lo - 1], 0.0)
-        target = before + w * (self.cum[hi - 1] - before)
-        pick = np.clip(np.searchsorted(self.cum, target, side="right"), lo, hi - 1)
-        edges = np.take(self.edges, pick, axis=0)
-        fold = u[0] + u[1] > 1.0
-        s, t = np.where(fold, 1.0 - u, u)
-        return (s[..., np.newaxis] * edges[..., 0, :]
-                + t[..., np.newaxis] * edges[..., 1, :])
+    def propose(self, bs: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+        """``m`` offsets from each of ``bs``, uniform in its region: shape
+        (len(bs), m, 2).  A pair of uniforms places each point; a polygon
+        draws a third, after the pairs and for its BSs alone, which picks a
+        fan triangle with probability proportional to its area, so that a
+        run without polygons draws what the disc sampler always drew."""
+        u = rng.random((2, len(bs), m))
+        r = self.radius[bs, np.newaxis] * np.sqrt(u[0])
+        angle = 2.0 * math.pi * u[1]
+        offsets = np.stack((r * np.cos(angle), r * np.sin(angle)), axis=-1)
+        fan = self.hi[bs] > self.lo[bs]
+        if fan.any():
+            lo, hi = self.lo[bs[fan], np.newaxis], self.hi[bs[fan], np.newaxis]
+            w = rng.random((len(lo), m))
+            target = self.cum[lo] + w * (self.cum[hi] - self.cum[lo])
+            pick = np.clip(np.searchsorted(self.cum, target, "right") - 1, lo, hi - 1)
+            edges = np.take(self.edges, pick, axis=0)
+            u = u[:, fan]
+            s, t = np.where(u[0] + u[1] > 1.0, 1.0 - u, u)
+            offsets[fan] = (s[..., np.newaxis] * edges[..., 0, :]
+                            + t[..., np.newaxis] * edges[..., 1, :])
+        return offsets
 
 
 def _proposal_regions(tier_xy, trees, etas, reach, half):
@@ -267,11 +269,12 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
     that the BS serves has r^eta_k <= |x - a|^eta_i <= (D + r)^eta_i, so r
     is at most the root r* of g(r) = eta_k ln r - eta_i ln(D + r), which
     is increasing and concave on (0, inf).  The cross-tier bound is the
-    least r* over such tiers.
+    least r* over such tiers.  On a single tier, pi lambda_k reach^2 is the
+    exponent of O_p.
 
-    Returns the radii, the polygons as :class:`_Fans`, and whether the
-    sites were queried against every tree for D, which happens only when
-    two non-empty tiers have different exponents.
+    Returns the regions as :class:`_Regions`, and whether the sites were
+    queried against every tree for D, which happens only when two
+    non-empty tiers have different exponents.
     """
     counts = [len(p) for p in tier_xy]
     radius = np.repeat(reach, counts)
@@ -312,8 +315,7 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
             smaller = (area < math.pi * own**2)[site]
             fan_bs.append(start + site[smaller])
             fan_edges.append(edges[smaller])
-    fans = _Fans(len(radius), np.concatenate(fan_bs), np.concatenate(fan_edges))
-    return radius, fans, queried
+    return _Regions(radius, np.concatenate(fan_bs), np.concatenate(fan_edges)), queried
 
 
 @dataclass
@@ -346,6 +348,80 @@ class Realization:
     n_batches: int             # those queries, per tree
 
 
+def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
+              rng: np.random.Generator):
+    """Protocol step 2: schedule one UE per BS of ``tier_xy`` in the square
+    [-half, half]^2, drawing every proposal from ``rng``.
+
+    Returns each BS's UE position and transmit power (zero for a BS still
+    pending), the BSs still pending after ``MAX_BATCHES`` rounds, and the
+    points queried and the queries made per tree.
+    """
+    start = np.cumsum([0] + [len(p) for p in tier_xy[:-1]])
+    bs_xy = np.concatenate(tier_xy)
+    etas = np.array([t.eta for t in config.tiers])
+    rhos = np.array([t.rho_o for t in config.tiers])
+    reach = (config.p_max / rhos) ** (1.0 / etas)
+    regions, queried = _proposal_regions(tier_xy, trees, etas, reach, half)
+
+    ue_xy = np.zeros((len(bs_xy), 2))
+    ue_power = np.zeros(len(bs_xy))
+    pending = np.arange(len(bs_xy))
+    n_points = len(bs_xy) if queried else 0
+    n_rounds = 0
+    while pending.size and n_rounds < MAX_BATCHES:
+        m = max(1, min(2**n_rounds, MAX_ROUND_POINTS // pending.size))
+        n_rounds += 1
+        pts = (bs_xy[pending, np.newaxis]
+               + regions.propose(pending, m, rng)).reshape(-1, 2)
+        n_points += len(pts)
+        tier, local, weight = best_link(pts, trees, etas)
+        power = rhos[tier] * weight
+        # a region may reach past the budget, and past the square
+        accept = (
+            (start[tier] + local == np.repeat(pending, m))
+            & (power <= config.p_max)
+            & (np.max(np.abs(pts), axis=1) <= half)
+        ).reshape(pending.size, m)
+        first = np.argmax(accept, axis=1)
+        hit = accept[np.arange(pending.size), first]
+        chosen = np.flatnonzero(hit) * m + first[hit]
+        ue_xy[pending[hit]] = pts[chosen]
+        ue_power[pending[hit]] = power[chosen]
+        pending = pending[~hit]
+    return ue_xy, ue_power, pending, n_points, n_rounds + int(queried)
+
+
+def _measure(config: NetworkConfig, tier: int, bs_xy, tagged: int, scheduled,
+             ue_xy, ue_power, rng: np.random.Generator):
+    """Protocol step 3: the uplink at BS ``tagged``, of tier ``tier``, from
+    the UEs of the BSs ``scheduled``, indexed by BS in ``ue_*``.  ``rng``
+    draws one fade per BS, that of the link from its UE to the tagged BS.
+
+    Returns the tagged link's fade, the interference and the SINR.
+    """
+    eta_j, rho_j = config.tiers[tier].eta, config.tiers[tier].rho_o
+    fades = rng.exponential(size=len(bs_xy))
+    interferers = scheduled[scheduled != tagged]
+    d = np.hypot(*(ue_xy[interferers] - bs_xy[tagged]).T)
+    if not d.all():
+        raise SaturationError("an interfering UE sits on the tagged BS")
+    interference = float(np.sum(ue_power[interferers] * fades[interferers] * d**-eta_j))
+    fade = float(fades[tagged])
+    return fade, interference, float(rho_j * fade / (config.noise + interference))
+
+
+def _probe(config: NetworkConfig, tier: int, trees, rng: np.random.Generator) -> bool:
+    """Protocol step 4: whether a UE drawn from ``rng`` uniform in the inner
+    window is truncated.  Tier-specific truncation applies tier ``tier``'s
+    cutoff to the best-link weight, matching the analytic convention."""
+    half = config.window_side / 2.0
+    # a single (2,) point: the probe is not a proposal round
+    probe = rng.uniform(-half, half, size=2)
+    _, _, weight = best_link(probe, trees, np.array([t.eta for t in config.tiers]))
+    return bool(config.tiers[tier].rho_o * weight > config.p_max)
+
+
 def build_realization(
     config: NetworkConfig,
     rng: np.random.Generator,
@@ -360,87 +436,31 @@ def build_realization(
     contains no usable BS, or when an interfering UE lies on the measured
     BS (infinite interference).
     """
-    guard = config.effective_guard_margin()
-    drop_side = config.window_side + 2.0 * guard
-    half_drop = drop_side / 2.0
-    half_window = config.window_side / 2.0
+    half = config.window_side / 2.0 + config.effective_guard_margin()
     # the layout draws from ``rng`` itself, every later stage from its own
     # jump of it, taken before any draw
     schedule_rng, fade_rng, probe_rng = [
         np.random.Generator(rng.bit_generator.jumped(k)) for k in (1, 2, 3)
     ]
 
-    tier_xy = [sample_ppp(t.intensity, drop_side, rng) for t in config.tiers]
-    counts = [len(p) for p in tier_xy]
-    n_bs = sum(counts)
-    if n_bs == 0:
+    tier_xy = [sample_ppp(t.intensity, 2.0 * half, rng) for t in config.tiers]
+    bs_xy = np.concatenate(tier_xy)
+    if not len(bs_xy):
         raise SaturationError("no base stations fell in the window")
-    bs_xy = np.concatenate(tier_xy, axis=0)
-    bs_tier = np.concatenate(
-        [np.full(c, k, dtype=np.intp) for k, c in enumerate(counts)]
-    )
+    bs_tier = np.repeat(np.arange(config.n_tiers), [len(p) for p in tier_xy])
     trees = [cKDTree(p) if len(p) else None for p in tier_xy]
-    offsets = np.cumsum([0] + counts[:-1])
-
-    etas = np.array([t.eta for t in config.tiers])
-    rhos = np.array([t.rho_o for t in config.tiers])
-
-    inner = np.max(np.abs(bs_xy), axis=1) <= half_window
+    inner = np.max(np.abs(bs_xy), axis=1) <= config.window_side / 2.0
     if not inner.any():
         raise SaturationError("no base station inside the inner window")
 
-    reach = (config.p_max / rhos) ** (1.0 / etas)
-    radius, fans, queried = _proposal_regions(tier_xy, trees, etas, reach, half_drop)
-    polygon = fans.hi > fans.lo
-
-    ue_xy = np.zeros((n_bs, 2))
-    ue_power = np.zeros(n_bs)
-    pending = np.arange(n_bs)
-    n_points = n_bs if queried else 0
-    n_rounds = 0
-    while pending.size and n_rounds < MAX_BATCHES:
-        m = max(1, min(2**n_rounds, MAX_ROUND_POINTS // pending.size))
-        n_rounds += 1
-        u = schedule_rng.random((2, pending.size, m))
-        r = radius[pending, np.newaxis] * np.sqrt(u[0])
-        angle = 2.0 * math.pi * u[1]
-        pts = np.stack(
-            (bs_xy[pending, 0, np.newaxis] + r * np.cos(angle),
-             bs_xy[pending, 1, np.newaxis] + r * np.sin(angle)),
-            axis=-1,
-        )
-        # the polygon's third uniform is drawn for its BSs alone, so a run
-        # without polygons draws what the disc sampler always drew
-        fan = polygon[pending]
-        if fan.any():
-            w = schedule_rng.random((np.count_nonzero(fan), m))
-            pts[fan] = (np.take(bs_xy, pending[fan], axis=0)[:, np.newaxis]
-                        + fans.offsets(pending[fan], u[:, fan], w))
-        pts = pts.reshape(-1, 2)
-        n_points += len(pts)
-        tier, local, weight = best_link(pts, trees, etas)
-        power = rhos[tier] * weight
-        # a polygon may reach past the budget, a disc only by rounding
-        accept = (
-            (offsets[tier] + local == np.repeat(pending, m))
-            & (power <= config.p_max)
-            & (np.max(np.abs(pts), axis=1) <= half_drop)
-        ).reshape(pending.size, m)
-        first = np.argmax(accept, axis=1)
-        hit = accept[np.arange(pending.size), first]
-        chosen = np.flatnonzero(hit) * m + first[hit]
-        ue_xy[pending[hit]] = pts[chosen]
-        ue_power[pending[hit]] = power[chosen]
-        pending = pending[~hit]
+    ue_xy, ue_power, pending, n_points, n_queries = _schedule(
+        config, tier_xy, trees, half, schedule_rng)
     if inner[pending].any():
+        # the rounds stop short of the cap only once every BS is scheduled
         raise SaturationError(
             f"{np.count_nonzero(inner[pending])} inner-window BSs unscheduled "
-            f"after {n_rounds} rounds ({n_points} points queried per tree)"
+            f"after {MAX_BATCHES} rounds ({n_points} points queried per tree)"
         )
-
-    scheduled = np.setdiff1d(np.arange(n_bs), pending, assume_unique=True)
-    ue_xy = ue_xy[scheduled]
-    ue_power = ue_power[scheduled]
 
     candidates = np.flatnonzero(inner & (bs_tier == tagged_tier))
     if candidates.size == 0:
@@ -449,46 +469,25 @@ def build_realization(
         )
     centre_dist = np.hypot(bs_xy[candidates, 0], bs_xy[candidates, 1])
     tagged = int(candidates[np.argmin(centre_dist)])
-    eta_j = config.tiers[tagged_tier].eta
-    rho_j = config.tiers[tagged_tier].rho_o
 
-    # one fade per BS: the link from its scheduled UE to the tagged BS
-    fades = fade_rng.exponential(size=n_bs)
-    fade = float(fades[tagged])
-    interferers = scheduled != tagged
-    d = np.hypot(
-        ue_xy[interferers, 0] - bs_xy[tagged, 0],
-        ue_xy[interferers, 1] - bs_xy[tagged, 1],
-    )
-    if not d.all():
-        raise SaturationError("an interfering UE sits on the tagged BS")
-    h = fades[scheduled[interferers]]
-    interference = float(np.sum(ue_power[interferers] * h * d**-eta_j))
-    sinr = rho_j * fade / (config.noise + interference)
-
-    # a single (2,) point: the probe is not a proposal round
-    probe = probe_rng.uniform(-half_window, half_window, size=2)
-    _, _, probe_weight = best_link(probe, trees, etas)
-    # tier-specific truncation applies the tagged tier's cutoff to the
-    # best-link weight, matching the analytic convention
-    probe_truncated = bool(rho_j * probe_weight > config.p_max)
-
-    tagged_pos = np.flatnonzero(scheduled == tagged)[0]
+    scheduled = np.setdiff1d(np.arange(len(bs_xy)), pending, assume_unique=True)
+    fade, interference, sinr = _measure(
+        config, tagged_tier, bs_xy, tagged, scheduled, ue_xy, ue_power, fade_rng)
     return Realization(
         bs_xy=bs_xy,
         bs_tier=bs_tier,
-        ue_xy=ue_xy,
+        ue_xy=ue_xy[scheduled],
         ue_bs=scheduled,
-        ue_power=ue_power,
+        ue_power=ue_power[scheduled],
         tagged_bs=tagged,
         tagged_tier=tagged_tier,
-        tagged_sinr=float(sinr),
+        tagged_sinr=sinr,
         tagged_fade=fade,
         tagged_interference=interference,
-        tagged_ue_power=float(ue_power[tagged_pos]),
-        probe_truncated=probe_truncated,
+        tagged_ue_power=float(ue_power[tagged]),
+        probe_truncated=_probe(config, tagged_tier, trees, probe_rng),
         n_ue_dropped=n_points,
-        n_batches=n_rounds + int(queried),
+        n_batches=n_queries,
     )
 
 

@@ -64,16 +64,19 @@ class TestTxPowerDistribution:
         dist = TxPowerDistribution(single_tier(), 0)
         assert dist.cdf(1.0) == pytest.approx(1.0, abs=1e-12)
         assert dist.cdf(0.0) == 0.0
+        assert dist.pdf(0.0) == math.inf
         # density integrates to one despite the x^(-1/2) divergence at 0
         total, _ = integrate.quad(dist.pdf, 0.0, 1.0, limit=200)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_density_outside_support_rejected(self):
         dist = TxPowerDistribution(single_tier(), 0)
-        with pytest.raises(ValueError):
-            dist.pdf(1.5)
-        with pytest.raises(ValueError):
-            dist.pdf(-0.1)
+        for law in (dist.pdf, dist.cdf):
+            for x in (1.5, -0.1):
+                with pytest.raises(ValueError, match="outside the support"):
+                    law(x)
+        with pytest.raises(ValueError, match="moment order must be positive"):
+            dist.moment(0.0)
 
     def test_two_equal_tiers_match_merged_single_tier(self):
         two = NetworkConfig.from_engineering(

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import reprlib
 from pathlib import Path
 
 import pytest
@@ -137,7 +138,23 @@ class TestAnalyze:
         code = main(["analyze", "--config", str(config), "--output",
                      str(tmp_path / "x.csv")])
         assert code == 2
-        assert f"{path}: {10**400} is too large" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: {reprlib.repr(10**400)} is too large" in err
+
+    @pytest.mark.parametrize("text, problem", [
+        ('{"tiers": [', "config is not valid JSON"),
+        ("[1, 2]", "top-level config must be a JSON object"),
+        # Python's JSON reader refuses an int literal of over 4,300 digits
+        ('{"tiers": [{"lambda_per_km2": 1%s, "rho_o_dbm": -70.0}]}' % ("0" * 5000),
+         "config is not valid JSON"),
+    ], ids=["invalid", "not-an-object", "int-past-digit-limit"])
+    def test_unparsable_config_exits_2(self, text, problem, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        code = main(["analyze", "--config", str(config), "--output",
+                     str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"{config}: {problem}" in capsys.readouterr().err
 
     def test_boolean_number_exits_2(self, tmp_path, capsys):
         cfg = dict(PAPER_CONFIG, p_max_watts=True)
@@ -325,6 +342,19 @@ class TestSweepVerbs:
                      "--from", start, "--to", "-60", "--steps", "3"])
         assert code == 2
         assert "tiers[0].rho_o_dbm" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("verb", ["sweep", "optimize"])
+    def test_grid_cutoff_overflowing_to_infinity_exits_2(self, verb, tmp_path, capsys):
+        # 4000 dBm is 10^397 W: the grid's numpy float overflows to inf
+        out = tmp_path / "x.csv"
+        config = Path(__file__).resolve().parents[1] / "upbench/configs/closed.json"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main([verb, "--config", str(config), "--output", str(out),
+                         "--from", "-70", "--to", "4000", "--steps", "3"])
+        assert code == 2
+        assert "tiers[0].rho_o_dbm: must be finite" in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "x.csv.manifest.json").exists()
 

@@ -209,6 +209,21 @@ class TestMappingIngestion:
             TierConfig.from_engineering(True, -70.0)
         assert info.value.errors == [("lambda_per_km2", "not a number: True")]
 
+    def test_int_past_digit_limit_rejected_by_constructor(self):
+        # repr of 10^5000 itself raises past the int-to-str digit limit
+        with pytest.raises(ConfigError) as info:
+            TierConfig.from_engineering(10**5000, -70.0)
+        assert info.value.errors == [
+            ("lambda_per_km2", "<int too long to print> is too large to convert "
+             "to linear units")]
+
+    @pytest.mark.parametrize("rho_o", [math.inf, math.nan, 0.0, -1.0])
+    def test_replaced_cutoff_must_be_finite_and_positive(self, rho_o):
+        with pytest.raises(ConfigError) as info:
+            paper_defaults().with_tier_rho_o(0, rho_o)
+        [(path, _)] = info.value.errors
+        assert path == "tiers[0].rho_o_dbm"
+
     def test_tier_missing_a_key_keeps_its_other_checks(self):
         # the tier lacking its intensity still has its exponent and its
         # cutoff checked, the cutoff against the floor
@@ -318,7 +333,7 @@ _RULES = [
     ("lambda_per_km2", math.inf, "tiers[0].lambda_per_km2", "must be finite"),
     # a JSON integer too large for a float
     ("lambda_per_km2", 10**400, "tiers[0].lambda_per_km2",
-     f"{10**400!r} is too large to convert to linear units"),
+     f"{reprlib.repr(10**400)} is too large to convert to linear units"),
     # 10^-503 W underflows to 0
     ("rho_o_dbm", -5000.0, "tiers[0].rho_o_dbm", "cutoff threshold must be positive"),
     ("rho_o_dbm", 4000.0, "tiers[0].rho_o_dbm",
@@ -340,7 +355,7 @@ _RULES = [
     ("window_km", 0.0, "window_km", "window side must be positive"),
     ("window_km", math.inf, "window_km", "must be finite"),
     ("window_km", 10**400, "window_km",
-     f"{10**400!r} is too large to convert to linear units"),
+     f"{reprlib.repr(10**400)} is too large to convert to linear units"),
     ("window_km", None, "window_km", "not a number: None"),
     ("guard_km", -1.0, "guard_km", "guard margin must be nonnegative"),
     ("guard_km", math.inf, "guard_km", "must be finite"),

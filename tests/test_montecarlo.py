@@ -286,7 +286,8 @@ class TestSaturation:
 
     def test_infeasible_cutoff_raises(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "MAX_BATCHES", 1)
-        with pytest.raises(SaturationError):
+        with pytest.raises(SaturationError, match=r"^33 inner-window BSs unscheduled "
+                           r"after 1 rounds \(161 points queried per tree\)$"):
             build_realization(small_config(rho_o_dbm=-60.0), realization_rng(0, 0))
 
     def test_all_discarded_raises(self, monkeypatch):
@@ -306,6 +307,21 @@ class TestSaturation:
             0.05e-6 * 3000.0**2) == 0)
         with pytest.raises(SaturationError):
             build_realization(cfg, realization_rng(seed, 0))
+
+    def test_no_inner_bs_of_tagged_tier_raises(self, monkeypatch):
+        # tier 1's one BS lies in the guard ring, outside the 2 km window
+        cfg = NetworkConfig.from_engineering(
+            tiers=[TierConfig.from_engineering(1.0, -65.0, 0.0, 3.2),
+                   TierConfig.from_engineering(10.0, -75.0, 0.0, 4.0)],
+            window_km=2.0, guard_km=0.3,
+        )
+        layout = {cfg.tiers[0].intensity: np.zeros((1, 2)),
+                  cfg.tiers[1].intensity: np.array([[1100.0, 0.0]])}
+        monkeypatch.setattr(montecarlo, "sample_ppp", lambda lam, *args: layout[lam])
+        with pytest.raises(SaturationError,
+                           match="^no tier-1 base station inside the inner window$"):
+            build_realization(cfg, realization_rng(0, 0), tagged_tier=1)
+        build_realization(cfg, realization_rng(0, 0), tagged_tier=0)
 
     def test_tiny_eligible_disc_is_scheduled(self):
         # rho_o = 0 dBm leaves a 5.6 m eligible disc around every BS
@@ -329,8 +345,9 @@ class TestSaturation:
         regions = montecarlo._proposal_regions
 
         def forced(*args):
-            _, fans, queried = regions(*args)
-            return np.array([0.0, 0.5]), fans, queried
+            found, queried = regions(*args)
+            found.radius = np.array([0.0, 0.5])
+            return found, queried
 
         monkeypatch.setattr(montecarlo, "_proposal_regions", forced)
         with pytest.raises(SaturationError, match="on the tagged BS"):
@@ -339,6 +356,11 @@ class TestSaturation:
     def test_iteration_floor(self):
         with pytest.raises(ValueError):
             estimate_metrics(small_config(), 50, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must fit"):
+            estimate_metrics(small_config(), 100, seed=seed)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
@@ -392,11 +414,11 @@ class TestScheduler:
         repeated = np.array([[0.0, 0.0], [0.0, 0.0], [400.0, 300.0], [-500.0, 100.0]])
         for sites, fanless in ((line, 0), (repeated, 1)):
             site, edges = montecarlo._voronoi_fans(sites, half)
-            radius, fans, _ = montecarlo._proposal_regions(
+            regions, _ = montecarlo._proposal_regions(
                 [sites], [cKDTree(sites)], np.array([4.0]), np.array([np.inf]), half)
             corner = np.hypot(half + np.abs(sites[:, 0]), half + np.abs(sites[:, 1]))
-            np.testing.assert_array_equal(radius, corner)
-            assert np.count_nonzero(fans.hi == fans.lo) == fanless
+            np.testing.assert_array_equal(regions.radius, corner)
+            assert np.count_nonzero(regions.hi == regions.lo) == fanless
             assert len(np.unique(site)) == len(sites) - fanless
             owner = cKDTree(sites).query(points)[1]
             if fanless:
@@ -436,10 +458,10 @@ class TestScheduler:
                            [700.0, 40.0], [-1000.0, -30.0]])
         monkeypatch.setattr(montecarlo, "sample_ppp", lambda *args: layout)
         monkeypatch.setattr(montecarlo, "TRIANGULATE_ABOVE", 0.0)
-        _, fans, _ = montecarlo._proposal_regions(
+        regions, _ = montecarlo._proposal_regions(
             [layout], [cKDTree(layout)], np.array([4.0]), np.array([reach]), 1500.0)
-        assert fans.lo[0] == 0 and fans.hi[0] > 0
-        polygon = fans.cum[fans.hi[0] - 1]
+        assert regions.lo[0] == 0 and regions.hi[0] > 0
+        polygon = regions.cum[regions.hi[0]]
         ue = []
         for i in range(400):
             r = build_realization(cfg, realization_rng(5, i))
@@ -554,9 +576,10 @@ class TestCrossTierBound:
             reach = (np.full(len(etas), np.inf) if case % 4 == 0
                      else rng.uniform(150.0, 600.0, len(etas)))
             trees = [cKDTree(p) for p in tier_xy]
-            radius, _, queried = montecarlo._proposal_regions(
+            regions, queried = montecarlo._proposal_regions(
                 tier_xy, trees, etas, reach, self.HALF)
             assert queried
+            radius = regions.radius
             old, _ = radius_without_cross_bound(tier_xy, etas, reach, self.HALF)
             yield tier_xy, etas, reach, trees, radius, old
 
@@ -612,8 +635,9 @@ class TestCrossTierBound:
         tier_xy = [np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [500.0, 0.0]])]
         etas = np.array([3.2, 4.0])
         trees = [cKDTree(p) for p in tier_xy]
-        radius, _, _ = montecarlo._proposal_regions(
+        regions, _ = montecarlo._proposal_regions(
             tier_xy, trees, etas, np.full(2, np.inf), self.HALF)
+        radius = regions.radius
         assert radius[1] == pytest.approx(1.0, rel=2e-9) and radius[1] >= 1.0
 
     @staticmethod
@@ -638,15 +662,15 @@ class TestCrossTierBound:
     ], ids=["single", "single-reach", "common", "common-mixed"])
     def test_single_exponent_radius_untouched(self, config, index, cells):
         tier_xy, trees, etas, reach, half = self.drawn_layout(config, index)
-        radius, fans, queried = montecarlo._proposal_regions(
+        regions, queried = montecarlo._proposal_regions(
             tier_xy, trees, etas, reach, half)
         assert not queried
         old, applied = radius_without_cross_bound(tier_xy, etas, reach, half)
         assert applied == cells
-        np.testing.assert_array_equal(radius, old)
+        np.testing.assert_array_equal(regions.radius, old)
         # BSs draw from polygons on the triangulated tiers alone
         tier = np.repeat(np.arange(len(tier_xy)), [len(p) for p in tier_xy])
-        polygon = fans.hi > fans.lo
+        polygon = regions.hi > regions.lo
         assert [polygon[tier == k].any() for k in range(len(cells))] == cells
 
     @pytest.mark.parametrize("config", [small_config(rho_o_dbm=-60.0),
@@ -658,8 +682,9 @@ class TestCrossTierBound:
         n_points = 0
         for index in range(5):
             tier_xy, trees, etas, reach, half = self.drawn_layout(config, index)
-            radius, _, _ = montecarlo._proposal_regions(
+            regions, _ = montecarlo._proposal_regions(
                 tier_xy, trees, etas, reach, half)
+            radius = regions.radius
             _, applied = radius_without_cross_bound(tier_xy, etas, reach, half)
             assert not all(applied)
             sites = np.concatenate(tier_xy)
@@ -791,6 +816,33 @@ class TestReproducibility:
         for i in range(3):
             r = build_realization(config, realization_rng(42, i))
             h.update(np.round(r.ue_xy, 6).tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("config, digest", [
+        (small_config(),
+         "c6155bc617e03a572aedee9cdbea94db9dcb6482b8fc6509b87d64ca546a698b"),
+        (two_tier_config(),
+         "6cea8bd00c8afdb22c042f12b66ad49a470329a8b336afa63739ab847c61ddcb"),
+    ], ids=["single", "mixed"])
+    def test_triangulated_stream_pinned(self, config, digest, monkeypatch):
+        # polygon proposals and, on the mixed config, the cross-tier bound:
+        # the UEs (to the micrometre, as above), the tagged BS and the probe
+        # of realizations 0-2 at seed 42, as v0.3.0 drew them
+        fans = []
+
+        def counted(*args):
+            fans.append(args)
+            return voronoi_fans(*args)
+
+        voronoi_fans = montecarlo._voronoi_fans
+        monkeypatch.setattr(montecarlo, "_voronoi_fans", counted)
+        h = hashlib.sha256()
+        for i in range(3):
+            r = build_realization(config, realization_rng(42, i))
+            h.update(np.round(r.ue_xy, 6).tobytes())
+            h.update(np.int64(r.tagged_bs).tobytes())
+            h.update(np.bool_(r.probe_truncated).tobytes())
+        assert len(fans) >= 3
         assert h.hexdigest() == digest
 
     def test_report_bitwise_stable_across_workers(self):
