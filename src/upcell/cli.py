@@ -36,7 +36,6 @@ from .model import (
     ConfigError,
     MetricsReport,
     NetworkConfig,
-    dbm_to_watts,
     network_from_mapping,
     watts_to_dbm,
 )
@@ -271,7 +270,7 @@ def cmd_optimize(args) -> int:
     report = dict(zip(result.values_dbm.tolist(), result.reports)).get(rho_star)
     if report is None:
         report = analytic.full_report(
-            config.with_tier_rho_o(args.tier, dbm_to_watts(rho_star)), args.tier
+            config.with_tier_rho_o(args.tier, rho_star), args.tier
         )
     return _write_grid(args, digest, config, result, rho_star, report)
 

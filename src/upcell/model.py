@@ -172,14 +172,15 @@ class NetworkConfig:
         reach = max((self.p_max / t.rho_o) ** (1.0 / t.eta) for t in self.tiers)
         return min(5.0 * reach, self.window_side / 4.0)
 
-    def with_tier_rho_o(self, j: int, rho_o: float) -> "NetworkConfig":
-        """Copy of the config with tier ``j``'s cutoff replaced.  Raises
-        :class:`ConfigError` at ``tiers[j].rho_o_dbm`` unless ``rho_o`` is
-        finite and positive, the rule of a file's cutoff, and exceeds
-        ``rho_min``."""
+    def with_tier_rho_o(self, j: int, rho_o_dbm: float) -> "NetworkConfig":
+        """Copy of the config with tier ``j``'s cutoff replaced by
+        ``rho_o_dbm``, converted to watts as a file's cutoff is.  Raises
+        :class:`ConfigError` at ``tiers[j].rho_o_dbm`` unless the cutoff is
+        finite and positive in watts, the rule of a file's cutoff, and
+        exceeds ``rho_min``."""
         errors: list[tuple[str, str]] = []
-        _si(errors, f"tiers[{j}].rho_o_dbm", rho_o, float, lambda x: x > 0,
-            "cutoff threshold must be positive")
+        rho_o = _si(errors, f"tiers[{j}].rho_o_dbm", rho_o_dbm, dbm_to_watts,
+                    lambda x: x > 0, "cutoff threshold must be positive")
         if errors := errors or _floor_errors(j, rho_o, self.rho_min):
             raise ConfigError(errors)
         tiers = tuple(

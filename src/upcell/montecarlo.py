@@ -10,15 +10,18 @@ composes them and picks the tagged BS:
    over the BS's eligible region: the points of the expanded window that
    the BS serves and whose channel-inversion power fits the budget.  Each
    BS draws rejection-sampling proposals uniformly in a region that
-   contains that region, a disc or its same-tier Voronoi polygon:
-   :func:`_proposal_regions` chooses it, and :class:`_Regions` draws from
-   it.  Any region that holds the eligible region gives the same UE law,
-   so the choice changes speed, never the distribution.  The BS keeps the
-   first proposal that lies in the window, is served by it, and fits the
-   budget.  Unresolved BSs get twice as many proposals each round; a
-   realization in which an inner-window BS is still unresolved after the
-   round cap is discarded and counted.
-3. Tag the BS nearest the window centre: the BS whose cell covers the
+   contains that region: a disc about it, or on a triangulated tier a box,
+   its same-tier Voronoi cell's bounding box clipped to its reach and to
+   the expanded window.  :func:`_proposal_regions` chooses the region, and
+   :class:`_Regions` draws from it.  Any region that holds the eligible
+   region gives the same UE law, so the choice changes speed, never the
+   distribution.  The BS keeps the first proposal that lies in the window,
+   is served by it, and fits the budget.  Unresolved BSs get twice as many
+   proposals each round; a realization in which an inner-window BS is
+   still unresolved after the round cap is discarded and counted.
+3. Tag the BS nearest the window centre, picked right after the layout
+   (the rule draws nothing; a realization with no inner-window BS of the
+   measured tier is discarded and counted): the BS whose cell covers the
    centre, so a BS is picked with probability proportional to its Voronoi
    area.  It is neither the typical BS nor the serving BS of a typical
    active UE (ROADMAP open item 1).  :func:`_measure`: its uplink is
@@ -71,18 +74,18 @@ MAX_BATCHES = 50
 MAX_ROUND_POINTS = 2**16
 # Newton steps for the cross-tier bound; an unconverged root is discarded
 NEWTON_STEPS = 8
-# a tier's same-tier Voronoi polygons are computed only when its proposal
+# a tier's same-tier Voronoi cells are bounded only when its proposal
 # discs hold more than this many of its BSs on average; below it the
-# Delaunay triangulation costs more than the proposals the polygons save
+# Delaunay triangulation costs more than the proposals the boxes save
 TRIANGULATE_ABOVE = 4.0
 # two-sided 95% standard normal quantile of every confidence interval
 _Z_95 = 1.96
 
 
 class SaturationError(RuntimeError):
-    """An inner-window BS got no scheduled UE within the round cap, the
-    window holds no usable BS, or an interfering UE lies on the measured
-    BS."""
+    """The inner window holds no BS of the measured tier, an inner-window
+    BS got no scheduled UE within the round cap, or an interfering UE lies
+    on the measured BS."""
 
 
 def sample_ppp(
@@ -153,20 +156,18 @@ def best_link(points, trees, etas):
     )
 
 
-def _voronoi_fans(sites: np.ndarray, half: float):
-    """Each site's Voronoi cell as a fan of triangles (site, c, c'), one per
-    cell edge: c and c' are the circumcentres of the two Delaunay triangles
-    that share the Delaunay edge from the site to its counter-clockwise
-    neighbour in one of them.
+def _cell_boxes(sites: np.ndarray, half: float):
+    """The bounding box of each site's Voronoi cell: ``(lo, hi)``, each of
+    shape (n, 2).
 
     The convex-hull sites (every site, when they span no triangle) are
     mirrored across the four edges of the square [-half, half]^2: a
-    mirrored site wins no point inside the square, and every original cell
-    closes, so the fan holds the part of the site's cell inside the square.
-    Returns each fan triangle's site, in non-decreasing order, and its
-    edges c - site and c' - site, shape (f, 2, 2).  A site left out of
-    every Delaunay triangle (a repeated site), or next to a degenerate
-    one, gets no fan triangles.
+    mirrored site wins no point inside the square, so each cell keeps its
+    part in the square.  A cell's vertices are the circumcentres of the
+    Delaunay triangles around its site, and its box is their extent along
+    each axis.  A site whose cell does not close gets (-inf, inf) on both
+    axes: a repeated site, left out of every triangle, a site next to a
+    degenerate triangle, and a site on the hull of the mirrored set.
     """
     from scipy.spatial import ConvexHull, Delaunay, QhullError
 
@@ -191,79 +192,54 @@ def _voronoi_fans(sites: np.ndarray, half: float):
             (ac[:, 1] * ab2 - ab[:, 1] * ac2, ab[:, 0] * ac2 - ac[:, 0] * ab2),
             axis=1,
         ) / (2.0 * cross[:, np.newaxis])
-    # scipy orients 2-D simplices counter-clockwise: the vertex in slot j
-    # has its counter-clockwise neighbour in slot j + 1, and the triangle
-    # across that edge is the neighbour opposite slot j + 2
-    site, other = tri.simplices.ravel(), tri.neighbors[:, [2, 0, 1]].ravel()
-    # the original sites sorted first; a key of 16 bits or fewer sorts by radix
-    order = np.argsort(site.astype(np.min_scalar_type(len(pts))), kind="stable")
-    keep = order[: np.count_nonzero(site < len(sites))]
-    site, own, other = site[keep], keep // 3, other[keep]
-    edges = np.stack(
-        (np.take(centre, own, axis=0), np.take(centre, other, axis=0)), axis=1
-    ) - np.take(sites, site, axis=0)[:, np.newaxis]
-    finite = np.isfinite(centre).all(axis=1)
-    bad = (other < 0) | ~(finite[own] & finite[other])
-    keep = np.take(np.bincount(site[bad], minlength=len(sites)), site) == 0
-    return site[keep], edges[keep]
-
-
-def _fan_areas(edges: np.ndarray) -> np.ndarray:
-    """Areas of fan triangles given by their two edges from the site."""
-    (x1, y1), (x2, y2) = edges[:, 0].T, edges[:, 1].T
-    return 0.5 * np.abs(x1 * y2 - y1 * x2)
+    site = tri.simplices.ravel()
+    lo, hi = np.full((2, len(pts)), np.inf), np.full((2, len(pts)), -np.inf)
+    # one 1-D ufunc.at per axis runs far faster than one on (n, 2) rows
+    for axis, value in enumerate(np.repeat(centre, 3, axis=0).T):
+        np.minimum.at(lo[axis], site, value)
+        np.maximum.at(hi[axis], site, value)
+    unclosed = np.bincount(site, minlength=len(pts)) == 0
+    unclosed[tri.simplices[~np.isfinite(centre).all(axis=1)]] = True
+    unclosed[tri.convex_hull] = True
+    lo[:, unclosed], hi[:, unclosed] = -np.inf, np.inf
+    return lo[:, : len(sites)].T, hi[:, : len(sites)].T
 
 
 class _Regions:
     """Per BS, tiers concatenated, the region its proposals are drawn from:
-    the disc of radius ``radius[b]`` about it, or its Voronoi polygon when
-    it owns fan triangles.  ``bs`` names the BS of each fan triangle, in
-    non-decreasing order, and ``edges`` its two edges from that BS."""
+    the box [lo[b], hi[b]] where ``box[b]``, else the disc of radius
+    ``radius[b]`` about the BS ``xy[b]``."""
 
-    def __init__(self, radius: np.ndarray, bs: np.ndarray, edges: np.ndarray):
-        self.radius = radius
-        # BS b owns the contiguous fan triangles lo[b]:hi[b], none for a disc
-        self.lo = np.searchsorted(bs, np.arange(len(radius)))
-        self.hi = np.searchsorted(bs, np.arange(len(radius)), side="right")
-        self.edges = edges
-        # cum[i] is the area of the fan triangles before triangle i
-        self.cum = np.concatenate(([0.0], np.cumsum(_fan_areas(edges))))
+    def __init__(self, xy, radius, lo, hi, box):
+        self.xy, self.radius, self.lo, self.hi, self.box = xy, radius, lo, hi, box
 
     def propose(self, bs: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
-        """``m`` offsets from each of ``bs``, uniform in its region: shape
-        (len(bs), m, 2).  A pair of uniforms places each point; a polygon
-        draws a third, after the pairs and for its BSs alone, which picks a
-        fan triangle with probability proportional to its area, so that a
-        run without polygons draws what the disc sampler always drew."""
+        """``m`` points for each of ``bs``, uniform in its region: shape
+        (len(bs), m, 2), from one pair of uniforms per point."""
         u = rng.random((2, len(bs), m))
-        r = self.radius[bs, np.newaxis] * np.sqrt(u[0])
-        angle = 2.0 * math.pi * u[1]
-        offsets = np.stack((r * np.cos(angle), r * np.sin(angle)), axis=-1)
-        fan = self.hi[bs] > self.lo[bs]
-        if fan.any():
-            lo, hi = self.lo[bs[fan], np.newaxis], self.hi[bs[fan], np.newaxis]
-            w = rng.random((len(lo), m))
-            target = self.cum[lo] + w * (self.cum[hi] - self.cum[lo])
-            pick = np.clip(np.searchsorted(self.cum, target, "right") - 1, lo, hi - 1)
-            edges = np.take(self.edges, pick, axis=0)
-            u = u[:, fan]
-            s, t = np.where(u[0] + u[1] > 1.0, 1.0 - u, u)
-            offsets[fan] = (s[..., np.newaxis] * edges[..., 0, :]
-                            + t[..., np.newaxis] * edges[..., 1, :])
-        return offsets
+        pts = np.empty((len(bs), m, 2))
+        box = self.box[bs]
+        disc = ~box
+        r = self.radius[bs[disc], np.newaxis] * np.sqrt(u[0, disc])
+        angle = 2.0 * math.pi * u[1, disc]
+        pts[disc] = self.xy[bs[disc], np.newaxis] + np.stack(
+            (r * np.cos(angle), r * np.sin(angle)), axis=-1)
+        lo, hi = self.lo[bs[box], np.newaxis], self.hi[bs[box], np.newaxis]
+        pts[box] = lo + np.moveaxis(u[:, box], 0, -1) * (hi - lo)
+        return pts
 
 
 def _proposal_regions(tier_xy, trees, etas, reach, half):
     """Per BS, tiers concatenated, a region that holds every point of
     [-half, half]^2 that the BS serves within its reach: a disc about it or
-    its same-tier Voronoi polygon.
+    a box.
 
     The disc's radius is min(reach, cross-tier bound).  A BS serves no
     point that a same-tier BS is nearer to, so its region also lies in its
     same-tier cell.  On a tier with pi lambda_k mean(radius^2) above
-    ``TRIANGULATE_ABOVE``, lambda_k its count over the square's area, the
-    radius is capped by the distance to the square's farthest corner, and
-    each BS whose polygon is smaller than its disc draws from the polygon.
+    ``TRIANGULATE_ABOVE``, lambda_k its count over the square's area, every
+    BS draws from its cell's bounding box clipped to the square of side
+    2 radius about it and to the square [-half, half]^2.
     For a tier-k BS and a tier i with eta_i < eta_k, let D be the distance
     from the BS to its nearest tier-i BS ``a``.  A point x at distance r
     that the BS serves has r^eta_k <= |x - a|^eta_i <= (D + r)^eta_i, so r
@@ -277,13 +253,14 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
     non-empty tiers have different exponents.
     """
     counts = [len(p) for p in tier_xy]
+    xy = np.concatenate(tier_xy)
     radius = np.repeat(reach, counts)
     eta_bs = np.repeat(etas, counts)
     # otherwise no BS has a non-empty lower-exponent tier, and the loop
     # below skips every tier before it reads ``dist``
     queried = bool(eta_bs.min() < eta_bs.max())
     if queried:
-        dist, _ = _tier_distances(np.concatenate(tier_xy), trees)
+        dist, _ = _tier_distances(xy, trees)
     for i, eta_i in enumerate(etas):
         lower = eta_i < eta_bs
         if not (counts[i] and lower.any()):
@@ -303,19 +280,19 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
         ok = eta_k * np.log(root) >= eta_i * np.log(d + root)
         radius[lower] = np.where(ok, np.minimum(radius[lower], root), radius[lower])
     density = np.asarray(counts) / (2.0 * half) ** 2
-    fan_bs, fan_edges = [np.empty(0, dtype=np.intp)], [np.empty((0, 2, 2))]
+    # a disc BS's box is never read
+    lo, hi = np.empty_like(xy), np.empty_like(xy)
+    box = np.zeros(len(xy), dtype=bool)
     for k, start in enumerate(np.cumsum([0] + counts[:-1])):
-        own = radius[start : start + counts[k]]
-        if counts[k] and math.pi * density[k] * np.mean(own**2) > TRIANGULATE_ABOVE:
-            sites = tier_xy[k]
-            np.minimum(own, np.hypot(half + np.abs(sites[:, 0]),
-                                     half + np.abs(sites[:, 1])), out=own)
-            site, edges = _voronoi_fans(sites, half)
-            area = np.bincount(site, _fan_areas(edges), minlength=counts[k])
-            smaller = (area < math.pi * own**2)[site]
-            fan_bs.append(start + site[smaller])
-            fan_edges.append(edges[smaller])
-    return _Regions(radius, np.concatenate(fan_bs), np.concatenate(fan_edges)), queried
+        own = slice(start, start + counts[k])
+        load = counts[k] and math.pi * density[k] * np.mean(radius[own]**2)
+        if load > TRIANGULATE_ABOVE:
+            cell_lo, cell_hi = _cell_boxes(tier_xy[k], half)
+            r = radius[own, np.newaxis]
+            lo[own] = np.maximum(cell_lo, np.maximum(xy[own] - r, -half))
+            hi[own] = np.minimum(cell_hi, np.minimum(xy[own] + r, half))
+            box[own] = True
+    return _Regions(xy, radius, lo, hi, box), queried
 
 
 @dataclass
@@ -358,22 +335,21 @@ def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
     points queried and the queries made per tree.
     """
     start = np.cumsum([0] + [len(p) for p in tier_xy[:-1]])
-    bs_xy = np.concatenate(tier_xy)
     etas = np.array([t.eta for t in config.tiers])
     rhos = np.array([t.rho_o for t in config.tiers])
     reach = (config.p_max / rhos) ** (1.0 / etas)
     regions, queried = _proposal_regions(tier_xy, trees, etas, reach, half)
 
-    ue_xy = np.zeros((len(bs_xy), 2))
-    ue_power = np.zeros(len(bs_xy))
-    pending = np.arange(len(bs_xy))
-    n_points = len(bs_xy) if queried else 0
+    n_bs = len(regions.xy)
+    ue_xy = np.zeros((n_bs, 2))
+    ue_power = np.zeros(n_bs)
+    pending = np.arange(n_bs)
+    n_points = n_bs if queried else 0
     n_rounds = 0
     while pending.size and n_rounds < MAX_BATCHES:
         m = max(1, min(2**n_rounds, MAX_ROUND_POINTS // pending.size))
         n_rounds += 1
-        pts = (bs_xy[pending, np.newaxis]
-               + regions.propose(pending, m, rng)).reshape(-1, 2)
+        pts = regions.propose(pending, m, rng).reshape(-1, 2)
         n_points += len(pts)
         tier, local, weight = best_link(pts, trees, etas)
         power = rhos[tier] * weight
@@ -431,10 +407,10 @@ def build_realization(
 
     The measured BS is the inner-window BS of tier ``tagged_tier`` nearest
     the window centre.
-    Raises :class:`SaturationError` when an inner-window BS is still
-    unscheduled after ``MAX_BATCHES`` proposal rounds, when the window
-    contains no usable BS, or when an interfering UE lies on the measured
-    BS (infinite interference).
+    Raises :class:`SaturationError` when the inner window holds no tier
+    ``tagged_tier`` BS, when an inner-window BS is still unscheduled after
+    ``MAX_BATCHES`` proposal rounds, or when an interfering UE lies on the
+    measured BS (infinite interference).
     """
     half = config.window_side / 2.0 + config.effective_guard_margin()
     # the layout draws from ``rng`` itself, every later stage from its own
@@ -445,14 +421,17 @@ def build_realization(
 
     tier_xy = [sample_ppp(t.intensity, 2.0 * half, rng) for t in config.tiers]
     bs_xy = np.concatenate(tier_xy)
-    if not len(bs_xy):
-        raise SaturationError("no base stations fell in the window")
     bs_tier = np.repeat(np.arange(config.n_tiers), [len(p) for p in tier_xy])
-    trees = [cKDTree(p) if len(p) else None for p in tier_xy]
     inner = np.max(np.abs(bs_xy), axis=1) <= config.window_side / 2.0
-    if not inner.any():
-        raise SaturationError("no base station inside the inner window")
+    candidates = np.flatnonzero(inner & (bs_tier == tagged_tier))
+    if candidates.size == 0:
+        raise SaturationError(
+            f"no tier-{tagged_tier} base station inside the inner window"
+        )
+    centre_dist = np.hypot(bs_xy[candidates, 0], bs_xy[candidates, 1])
+    tagged = int(candidates[np.argmin(centre_dist)])
 
+    trees = [cKDTree(p) if len(p) else None for p in tier_xy]
     ue_xy, ue_power, pending, n_points, n_queries = _schedule(
         config, tier_xy, trees, half, schedule_rng)
     if inner[pending].any():
@@ -461,14 +440,6 @@ def build_realization(
             f"{np.count_nonzero(inner[pending])} inner-window BSs unscheduled "
             f"after {MAX_BATCHES} rounds ({n_points} points queried per tree)"
         )
-
-    candidates = np.flatnonzero(inner & (bs_tier == tagged_tier))
-    if candidates.size == 0:
-        raise SaturationError(
-            f"no tier-{tagged_tier} base station inside the inner window"
-        )
-    centre_dist = np.hypot(bs_xy[candidates, 0], bs_xy[candidates, 1])
-    tagged = int(candidates[np.argmin(centre_dist)])
 
     scheduled = np.setdiff1d(np.arange(len(bs_xy)), pending, assume_unique=True)
     fade, interference, sinr = _measure(
@@ -530,12 +501,8 @@ def _proportion_estimate(successes: int, n: int) -> EstimateWithCI:
 def _mean_estimate(values: np.ndarray) -> EstimateWithCI:
     n = len(values)
     mean = math.fsum(values) / n
-    if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-        half = _Z_95 * math.sqrt(var / n)
-    else:
-        half = math.inf
-    return EstimateWithCI(mean, half, n)
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    return EstimateWithCI(mean, _Z_95 * math.sqrt(var / n), n)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic
-from .model import MetricsReport, NetworkConfig, dbm_to_watts
+from .model import MetricsReport, NetworkConfig
 from .specfun import QuadratureError
 
 __all__ = ["SweepResult", "sweep", "refine_optimum", "objective_value", "OBJECTIVES"]
@@ -105,9 +105,10 @@ def sweep(
     values = np.linspace(lo, hi, steps)
     reports: list[MetricsReport | None] = []
     errors: list[str | None] = []
-    for v in values:
+    # Python floats: an error then prints the plain number
+    for v in values.tolist():
         try:
-            cfg = config.with_tier_rho_o(tier, dbm_to_watts(v))
+            cfg = config.with_tier_rho_o(tier, v)
             reports.append(analytic.full_report(cfg, tier))
             errors.append(None)
         except (QuadratureError, ArithmeticError) as exc:  # record and move on
@@ -161,7 +162,7 @@ def refine_optimum(
 
     def f(x: float) -> float:
         if x not in evaluated:
-            cfg = config.with_tier_rho_o(tier, dbm_to_watts(x))
+            cfg = config.with_tier_rho_o(tier, x)
             evaluated[x] = sign * objective_value(cfg, tier, result.objective)
         return evaluated[x]
 

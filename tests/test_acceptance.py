@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from upcell import analytic
-from upcell.model import NetworkConfig, TierConfig, dbm_to_watts
+from upcell.model import NetworkConfig, TierConfig
 from upcell.montecarlo import (
     build_realization,
     estimate_metrics,
@@ -205,7 +205,7 @@ def test_criterion_7_u_shaped_tradeoff():
     beats_grid = value <= o_t.min() + 1e-15
     xs = np.linspace(-120.0, -40.0, 10001)
     brute = np.array([
-        objective_value(cfg.with_tier_rho_o(0, dbm_to_watts(x)), 0,
+        objective_value(cfg.with_tier_rho_o(0, x), 0,
                         "total_outage")
         for x in xs
     ])

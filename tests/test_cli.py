@@ -347,14 +347,15 @@ class TestSweepVerbs:
 
     @pytest.mark.parametrize("verb", ["sweep", "optimize"])
     def test_grid_cutoff_overflowing_to_infinity_exits_2(self, verb, tmp_path, capsys):
-        # 4000 dBm is 10^397 W: the grid's numpy float overflows to inf
+        # 4000 dBm is 10^397 W, past the largest float: a config error,
+        # with no numpy overflow warning (the suite turns one into an error)
         out = tmp_path / "x.csv"
         config = Path(__file__).resolve().parents[1] / "upbench/configs/closed.json"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main([verb, "--config", str(config), "--output", str(out),
-                         "--from", "-70", "--to", "4000", "--steps", "3"])
+        code = main([verb, "--config", str(config), "--output", str(out),
+                     "--from", "-70", "--to", "4000", "--steps", "3"])
         assert code == 2
-        assert "tiers[0].rho_o_dbm: must be finite" in capsys.readouterr().err
+        assert ("tiers[0].rho_o_dbm: 4000.0 is too large to convert to linear units"
+                in capsys.readouterr().err)
         assert not out.exists()
         assert not (tmp_path / "x.csv.manifest.json").exists()
 

@@ -64,7 +64,7 @@ class TestValidation:
         assert cfg.tiers[0].rho_o == pytest.approx(1e-10)
         assert cfg.tiers[0].theta == 1.0
         assert cfg.noise == pytest.approx(1e-12)
-        assert cfg.with_tier_rho_o(0, cfg.tiers[0].rho_o) == cfg
+        assert cfg.with_tier_rho_o(0, -70.0) == cfg
 
     def test_eta_at_divergence_boundary(self):
         with pytest.raises(ConfigError, match="path-loss exponent must exceed 2"):
@@ -217,12 +217,16 @@ class TestMappingIngestion:
             ("lambda_per_km2", "<int too long to print> is too large to convert "
              "to linear units")]
 
-    @pytest.mark.parametrize("rho_o", [math.inf, math.nan, 0.0, -1.0])
-    def test_replaced_cutoff_must_be_finite_and_positive(self, rho_o):
+    # -5000 dBm rounds to 0 W, and 4000 dBm overflows a float
+    @pytest.mark.parametrize("rho_o_dbm, problem", [
+        (math.inf, "must be finite"), (math.nan, "must not be NaN"),
+        (-5000.0, "cutoff threshold must be positive"),
+        (4000.0, "4000.0 is too large to convert to linear units"),
+    ], ids=["inf", "nan", "-5000.0", "4000.0"])
+    def test_replaced_cutoff_must_be_finite_and_positive(self, rho_o_dbm, problem):
         with pytest.raises(ConfigError) as info:
-            paper_defaults().with_tier_rho_o(0, rho_o)
-        [(path, _)] = info.value.errors
-        assert path == "tiers[0].rho_o_dbm"
+            paper_defaults().with_tier_rho_o(0, rho_o_dbm)
+        assert info.value.errors == [("tiers[0].rho_o_dbm", problem)]
 
     def test_tier_missing_a_key_keeps_its_other_checks(self):
         # the tier lacking its intensity still has its exponent and its

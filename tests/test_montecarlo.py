@@ -5,12 +5,13 @@ test_acceptance.py; everything here runs on small windows."""
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.optimize import brentq
-from scipy.spatial import ConvexHull, Voronoi, cKDTree
+from scipy.spatial import ConvexHull, QhullError, Voronoi, cKDTree
 
 from upcell import analytic, montecarlo
 from upcell.model import NetworkConfig, TierConfig
@@ -60,19 +61,31 @@ def kernel(bs_xy, bs_tier, config):
     return serve
 
 
-def in_fan(points, owner, sites, site, edges):
-    """Whether each point lies, to rounding, in a fan triangle of its
-    ``owner`` site, with ``site`` and ``edges`` as from ``_voronoi_fans``."""
-    inside, tol = np.zeros(len(points), dtype=bool), 1e-9
-    for s, (e1, e2) in zip(site, edges):
-        det = e1[0] * e2[1] - e1[1] * e2[0]
-        if det == 0.0:
-            continue
-        rel = points - sites[s]
-        a = (rel[:, 0] * e2[1] - rel[:, 1] * e2[0]) / det
-        b = (e1[0] * rel[:, 1] - e1[1] * rel[:, 0]) / det
-        inside |= (owner == s) & (a >= -tol) & (b >= -tol) & (a + b <= 1.0 + tol)
-    return inside
+def in_box(points, owner, lo, hi):
+    """Whether each point lies, to the micrometre, in the box [lo, hi] of
+    its ``owner``: a circumcentre may round across the square's edge."""
+    tol = 1e-6
+    return ((lo[owner] - tol <= points) & (points <= hi[owner] + tol)).all(axis=1)
+
+
+def in_region(points, owner, regions):
+    """Whether each point lies in the proposal region of its ``owner`` BS:
+    its box, or its disc."""
+    disc = np.hypot(*(points - regions.xy[owner]).T) <= regions.radius[owner]
+    return np.where(regions.box[owner],
+                    in_box(points, owner, regions.lo, regions.hi), disc)
+
+
+def mirrored(sites, half):
+    """``sites`` followed by their convex-hull sites (every site, when they
+    span no hull) mirrored across the four edges of [-half, half]^2."""
+    try:
+        hull = sites[ConvexHull(sites).vertices]
+    except QhullError:
+        hull = sites
+    flip_x, flip_y = hull * (-1.0, 1.0), hull * (1.0, -1.0)
+    return np.concatenate([sites, flip_x + (2 * half, 0), flip_x - (2 * half, 0),
+                           flip_y + (0, 2 * half), flip_y - (0, 2 * half)])
 
 
 def two_tier_config():
@@ -106,6 +119,18 @@ class CountingKDTree:
         if x.ndim == 2:
             self.queries.append(len(x))
         return self._tree.query(x)
+
+
+def drawn_layout(config, index):
+    """The PPP layout of realization ``index`` at seed 42, with the
+    arguments of the proposal regions."""
+    rng = realization_rng(42, index)
+    half = config.window_side / 2.0 + config.effective_guard_margin()
+    tier_xy = [sample_ppp(t.intensity, 2.0 * half, rng) for t in config.tiers]
+    etas = np.array([t.eta for t in config.tiers])
+    reach = np.array([(config.p_max / t.rho_o) ** (1.0 / t.eta)
+                      for t in config.tiers])
+    return tier_xy, [cKDTree(p) for p in tier_xy], etas, reach, half
 
 
 class TestSamplePpp:
@@ -282,7 +307,7 @@ class TestSaturation:
     # through the round cap or an empty inner window: at -60 dBm the small
     # window is not triangulated, and one proposal round in the discs
     # cannot schedule all of its ~80 inner BSs (at -70 dBm most cells lie
-    # within reach, and one proposal in each polygon often does)
+    # within reach, and one proposal in each box often does)
 
     def test_infeasible_cutoff_raises(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "MAX_BATCHES", 1)
@@ -377,54 +402,108 @@ class TestSaturation:
 
 
 class TestScheduler:
-    def test_voronoi_fans_cover_every_cell(self):
-        # every point of the square lies in a fan triangle of its nearest
-        # site, and a cell inside the square has its Voronoi area
+    def test_cell_boxes_match_voronoi_extents(self):
+        # each box is the extent of the site's Voronoi region in the same
+        # mirrored set, an open cell's box is unbounded, and every point of
+        # the square lies in the box of its nearest site
         rng = np.random.default_rng(5)
         half = 1000.0
         points = rng.uniform(-half, half, size=(20000, 2))
         corners = np.array([[s * half, t * half] for s in (-1, 1) for t in (-1, 1)])
         points = np.concatenate([points, corners])
-        interior = 0
-        for n in (1, 2, 3, 8, 200):
+        closed = 0
+        for n in (1, 2, 3, 8, 200, 1000):
             sites = rng.uniform(-half, half, size=(n, 2))
-            site, edges = montecarlo._voronoi_fans(sites, half)
+            lo, hi = montecarlo._cell_boxes(sites, half)
             _, nearest = cKDTree(sites).query(points)
-            assert in_fan(points, nearest, sites, site, edges).all()
-            if n < 4:
-                continue
-            area = np.bincount(site, montecarlo._fan_areas(edges), minlength=n)
-            vor = Voronoi(sites)
-            for i, region in enumerate(vor.regions[k] for k in vor.point_region):
-                vertices = vor.vertices[region]
-                if -1 in region or (np.abs(vertices) > half).any():
+            assert in_box(points, nearest, lo, hi).all()
+            vor = Voronoi(mirrored(sites, half))
+            for i in range(n):
+                region = vor.regions[vor.point_region[i]]
+                if -1 in region or not region:
+                    assert (lo[i] == -np.inf).all() and (hi[i] == np.inf).all()
                     continue
-                interior += 1
-                assert area[i] == pytest.approx(ConvexHull(vertices).volume, rel=1e-12)
-        assert interior > 100
+                closed += 1
+                vertices = vor.vertices[region]
+                for got, want in ((lo[i], vertices.min(axis=0)),
+                                  (hi[i], vertices.max(axis=0))):
+                    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * half)
+        assert closed > 1000
 
     def test_collinear_and_repeated_sites(self):
         # sites on one line span no convex hull, so every site is mirrored
-        # and its strip of the square closes into a fan; a repeated site is
-        # left out of the triangulation and falls back to its disc, capped
-        # by the distance to the farthest corner
+        # and its strip of the square closes, as do the cells of one site
+        # and of two; a repeated site is left out of the triangulation, and
+        # its box is open until the reach and the square clip it
         half = 1000.0
-        points = np.random.default_rng(2).uniform(-half, half, size=(20000, 2))
+        rng = np.random.default_rng(2)
+        points = rng.uniform(-half, half, size=(20000, 2))
         line = np.array([[-600.0, -300.0], [0.0, 0.0], [200.0, 100.0], [700.0, 350.0]])
         repeated = np.array([[0.0, 0.0], [0.0, 0.0], [400.0, 300.0], [-500.0, 100.0]])
-        for sites, fanless in ((line, 0), (repeated, 1)):
-            site, edges = montecarlo._voronoi_fans(sites, half)
-            regions, _ = montecarlo._proposal_regions(
-                [sites], [cKDTree(sites)], np.array([4.0]), np.array([np.inf]), half)
-            corner = np.hypot(half + np.abs(sites[:, 0]), half + np.abs(sites[:, 1]))
-            np.testing.assert_array_equal(regions.radius, corner)
-            assert np.count_nonzero(regions.hi == regions.lo) == fanless
-            assert len(np.unique(site)) == len(sites) - fanless
+        one, two = np.array([[300.0, -200.0]]), np.array([[0.0, 0.0], [10.0, 0.0]])
+        for sites, n_open in ((line, 0), (repeated, 1), (one, 0), (two, 0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lo, hi = montecarlo._cell_boxes(sites, half)
+                regions, _ = montecarlo._proposal_regions(
+                    [sites], [cKDTree(sites)], np.array([4.0]), np.array([np.inf]), half)
+                pts = regions.propose(np.arange(len(sites)), 100, rng)
+            assert regions.box.all()
+            assert np.isfinite(pts).all() and (np.abs(pts) <= half).all()
+            unbounded = np.isinf(lo).all(axis=1) & np.isinf(hi).all(axis=1)
+            assert np.count_nonzero(unbounded) == n_open
             owner = cKDTree(sites).query(points)[1]
-            if fanless:
-                # points nearest the repeated site lie in its kept copy's fan
-                owner[owner < 2] = 0 if 0 in site else 1
-            assert in_fan(points, owner, sites, site, edges).all()
+            if n_open:
+                # one copy of the repeated site is open, the other holds
+                # every point nearest either copy
+                assert unbounded[0] != unbounded[1]
+                owner[owner < 2] = 1 if unbounded[0] else 0
+            assert in_box(points, owner, lo, hi).all()
+            assert in_region(points, owner, regions).all()
+
+    def test_boxes_lie_in_the_drop_square(self):
+        # cells of edge sites reach past the square; the boxes stop at it
+        tier_xy, trees, etas, reach, half = drawn_layout(small_config(), 0)
+        regions, _ = montecarlo._proposal_regions(tier_xy, trees, etas, reach, half)
+        assert regions.box.all()
+        assert (regions.lo >= -half).all() and (regions.hi <= half).all()
+        lo, hi = montecarlo._cell_boxes(tier_xy[0], half)
+        leaks = ((lo < -half) | (hi > half)) & np.isfinite(lo) & np.isfinite(hi)
+        assert leaks.any()
+
+    def test_leaky_cell_box_clipped_to_the_edge(self):
+        # site 0 lies below the hull edge from site 1 to site 2, so it is
+        # not mirrored, and its cell runs up to y = 1275 m past the top
+        # edge at 1000 m, where the mirrors of sites 1 and 2 close it
+        half = 1000.0
+        sites = np.array([[0.0, 900.0], [-300.0, 950.0], [300.0, 950.0],
+                          [0.0, -500.0], [-900.0, -900.0], [900.0, -900.0]])
+        lo, hi = montecarlo._cell_boxes(sites, half)
+        assert hi[0, 1] == pytest.approx(1275.0, rel=1e-12)
+        regions, _ = montecarlo._proposal_regions(
+            [sites], [cKDTree(sites)], np.array([4.0]), np.array([np.inf]), half)
+        assert regions.box[0] and regions.hi[0, 1] == half
+        np.testing.assert_array_equal(regions.lo[0], lo[0])
+        assert (regions.lo >= -half).all() and (regions.hi <= half).all()
+
+    @pytest.mark.parametrize("config, index", [
+        (small_config(), 0),
+        (common_exponent_config(), 1),
+        (two_tier_config(), 0),
+        (small_config(window_km=1.0, guard_km=0.2, p_max=math.inf), 0),
+    ], ids=["single", "common", "mixed", "unbounded"])
+    def test_served_points_lie_in_their_region(self, config, index):
+        # brute force: every point of the drop square that a BS serves
+        # within budget lies in that BS's proposal region
+        tier_xy, trees, etas, reach, half = drawn_layout(config, index)
+        regions, _ = montecarlo._proposal_regions(tier_xy, trees, etas, reach, half)
+        points = np.random.default_rng(7).uniform(-half, half, size=(40000, 2))
+        tier, local, weight = best_link(points, trees, etas)
+        served = np.cumsum([0] + [len(p) for p in tier_xy[:-1]])[tier] + local
+        rhos = np.array([t.rho_o for t in config.tiers])
+        eligible = rhos[tier] * weight <= config.p_max
+        assert in_region(points[eligible], served[eligible], regions).all()
+        assert np.count_nonzero(regions.box[served[eligible]]) > 10000
 
     def test_ue_uniform_over_clipped_eligible_region(self, monkeypatch):
         # two BSs 200 m apart with a 316 m reach: each eligible region is
@@ -447,11 +526,11 @@ class TestScheduler:
         assert result.pvalue > 0.01
 
     def test_ue_uniform_over_cell_within_reach(self, monkeypatch):
-        # BS 0's cell is about 850 m by 310 m, smaller than its 316 m reach
-        # disc, so with every tier triangulated it draws from its polygon;
-        # the BS sits off the cell's centre (its fan triangles differ in
-        # area by 2x), the disc cuts a third of the cell off, and its UEs
-        # must match a brute-force uniform sample of the cell within reach
+        # BS 0's cell is about 850 m by 310 m, and its reach is 316 m: with
+        # every tier triangulated it draws from its box, which the reach
+        # bounds along x and the cell along y; the disc cuts a third of the
+        # cell off, and its UEs must match a brute-force uniform sample of
+        # the cell within reach
         cfg = small_config()
         reach = (cfg.p_max / cfg.tiers[0].rho_o) ** 0.25
         layout = np.array([[0.0, 0.0], [30.0, 200.0], [-20.0, -420.0],
@@ -460,8 +539,9 @@ class TestScheduler:
         monkeypatch.setattr(montecarlo, "TRIANGULATE_ABOVE", 0.0)
         regions, _ = montecarlo._proposal_regions(
             [layout], [cKDTree(layout)], np.array([4.0]), np.array([reach]), 1500.0)
-        assert regions.lo[0] == 0 and regions.hi[0] > 0
-        polygon = regions.cum[regions.hi[0]]
+        assert regions.box[0]
+        np.testing.assert_array_equal(regions.hi[0, 0] - regions.lo[0, 0], 2 * reach)
+        assert regions.hi[0, 1] - regions.lo[0, 1] < 1.3 * reach
         ue = []
         for i in range(400):
             r = build_realization(cfg, realization_rng(5, i))
@@ -472,7 +552,8 @@ class TestScheduler:
         box = np.random.default_rng(6).uniform(-320.0, 320.0, size=(200000, 2))
         cell = cKDTree(layout).query(box)[1] == 0
         ref = box[cell & (np.hypot(*box.T) <= reach)]
-        assert polygon > 1.4 * 640.0**2 * len(ref) / len(box)
+        area = np.prod(regions.hi[0] - regions.lo[0])
+        assert area > 1.3 * 640.0**2 * len(ref) / len(box)
         assert np.max(np.abs(ref)) < 317.0
         for sim, brute in ((ue[:, 0], ref[:, 0]), (ue[:, 1], ref[:, 1]),
                            (np.hypot(*ue.T), np.hypot(*ref.T))):
@@ -537,10 +618,10 @@ def cross_tier_root(d, eta_i, eta_k):
 
 def radius_without_cross_bound(tier_xy, etas, reach, half):
     """Per BS, the proposal radius that the cross-tier bound leaves alone,
-    and per tier whether it is triangulated: it is when pi n_k / (2 half)^2
-    times the mean of min(reach, r*)^2 over the tier exceeds
-    ``TRIANGULATE_ABOVE``, r* the least cross-tier root (bracketed), and
-    then the distance to the square's farthest corner caps the radius."""
+    its reach, and per tier whether it is triangulated: it is when
+    pi n_k / (2 half)^2 times the mean of min(reach, r*)^2 over the tier
+    exceeds ``TRIANGULATE_ABOVE``, r* the least cross-tier root
+    (bracketed)."""
     trees = [cKDTree(p) if len(p) else None for p in tier_xy]
     old, cells = [], []
     for k, sites in enumerate(tier_xy):
@@ -554,9 +635,7 @@ def radius_without_cross_bound(tier_xy, etas, reach, half):
                     cut[b] = min(cut[b], cross_tier_root(d, eta_i, etas[k]))
         load = math.pi * len(sites) / (2.0 * half) ** 2 * np.mean(cut**2)
         cells.append(load > montecarlo.TRIANGULATE_ABOVE)
-        corner = np.hypot(half + np.abs(sites[:, 0]), half + np.abs(sites[:, 1]))
-        old.append(np.minimum(reach[k], corner) if cells[-1]
-                   else np.full(len(sites), reach[k]))
+        old.append(np.full(len(sites), reach[k]))
     return np.concatenate(old), cells
 
 
@@ -640,18 +719,6 @@ class TestCrossTierBound:
         radius = regions.radius
         assert radius[1] == pytest.approx(1.0, rel=2e-9) and radius[1] >= 1.0
 
-    @staticmethod
-    def drawn_layout(config, index):
-        """The PPP layout of realization ``index`` at seed 42, with the
-        arguments of the proposal radius."""
-        rng = realization_rng(42, index)
-        half = config.window_side / 2.0 + config.effective_guard_margin()
-        tier_xy = [sample_ppp(t.intensity, 2.0 * half, rng) for t in config.tiers]
-        etas = np.array([t.eta for t in config.tiers])
-        reach = np.array([(config.p_max / t.rho_o) ** (1.0 / t.eta)
-                          for t in config.tiers])
-        return tier_xy, [cKDTree(p) for p in tier_xy], etas, reach, half
-
     # pi lambda_k reach_k^2 is 6.8 (single), 2.1 (single, -60 dBm) and
     # 3.5 / 3.3 or 3.1 / 4.9 (common, realization 0 or 1)
     @pytest.mark.parametrize("config, index, cells", [
@@ -661,17 +728,16 @@ class TestCrossTierBound:
         (common_exponent_config(), 1, [False, True]),
     ], ids=["single", "single-reach", "common", "common-mixed"])
     def test_single_exponent_radius_untouched(self, config, index, cells):
-        tier_xy, trees, etas, reach, half = self.drawn_layout(config, index)
+        tier_xy, trees, etas, reach, half = drawn_layout(config, index)
         regions, queried = montecarlo._proposal_regions(
             tier_xy, trees, etas, reach, half)
         assert not queried
         old, applied = radius_without_cross_bound(tier_xy, etas, reach, half)
         assert applied == cells
         np.testing.assert_array_equal(regions.radius, old)
-        # BSs draw from polygons on the triangulated tiers alone
-        tier = np.repeat(np.arange(len(tier_xy)), [len(p) for p in tier_xy])
-        polygon = regions.hi > regions.lo
-        assert [polygon[tier == k].any() for k in range(len(cells))] == cells
+        # every BS of a triangulated tier draws from a box, no other BS does
+        counts = [len(p) for p in tier_xy]
+        np.testing.assert_array_equal(regions.box, np.repeat(cells, counts))
 
     @pytest.mark.parametrize("config", [small_config(rho_o_dbm=-60.0),
                                         common_exponent_config()],
@@ -681,7 +747,7 @@ class TestCrossTierBound:
         rng = np.random.default_rng(3)
         n_points = 0
         for index in range(5):
-            tier_xy, trees, etas, reach, half = self.drawn_layout(config, index)
+            tier_xy, trees, etas, reach, half = drawn_layout(config, index)
             regions, _ = montecarlo._proposal_regions(
                 tier_xy, trees, etas, reach, half)
             radius = regions.radius
@@ -699,8 +765,8 @@ class TestCrossTierBound:
         assert n_points > 50000
 
     @pytest.mark.parametrize("config, expected", [
-        (small_config(), [(9, 776), (4, 242), (6, 327)]),
-        (common_exponent_config(), [(6, 1668), (6, 966), (6, 1065)]),
+        (small_config(), [(3, 350), (4, 410), (3, 365)]),
+        (common_exponent_config(), [(6, 1668), (6, 1142), (7, 1217)]),
     ], ids=["single", "common"])
     def test_single_exponent_counts_untouched(self, config, expected):
         # rounds and proposals of the sampler without the cross-tier bound,
@@ -811,7 +877,7 @@ class TestReproducibility:
         # the numbers of v0.2.0: the UEs of realizations 0-2 at seed 42,
         # to the micrometre so that a last-bit difference in sin or cos
         # between platforms does not count
-        monkeypatch.setattr(montecarlo, "_voronoi_fans", None)
+        monkeypatch.setattr(montecarlo, "_cell_boxes", None)
         h = hashlib.sha256()
         for i in range(3):
             r = build_realization(config, realization_rng(42, i))
@@ -820,29 +886,29 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("config, digest", [
         (small_config(),
-         "c6155bc617e03a572aedee9cdbea94db9dcb6482b8fc6509b87d64ca546a698b"),
+         "0dc46c6454ad038895e6debbc7bd3b90bfa6c91a67d35661fa6292516245ba40"),
         (two_tier_config(),
-         "6cea8bd00c8afdb22c042f12b66ad49a470329a8b336afa63739ab847c61ddcb"),
+         "805ece01487e6346011c1d2aa51347fe6a9f81303e8d6f7d30077eca4f3d436c"),
     ], ids=["single", "mixed"])
     def test_triangulated_stream_pinned(self, config, digest, monkeypatch):
-        # polygon proposals and, on the mixed config, the cross-tier bound:
-        # the UEs (to the micrometre, as above), the tagged BS and the probe
-        # of realizations 0-2 at seed 42, as v0.3.0 drew them
-        fans = []
+        # box proposals and, on the mixed config, the cross-tier bound: the
+        # UEs (to the micrometre, as above), the tagged BS and the probe of
+        # realizations 0-2 at seed 42, as v0.4.0 drew them
+        boxes = []
 
         def counted(*args):
-            fans.append(args)
-            return voronoi_fans(*args)
+            boxes.append(args)
+            return cell_boxes(*args)
 
-        voronoi_fans = montecarlo._voronoi_fans
-        monkeypatch.setattr(montecarlo, "_voronoi_fans", counted)
+        cell_boxes = montecarlo._cell_boxes
+        monkeypatch.setattr(montecarlo, "_cell_boxes", counted)
         h = hashlib.sha256()
         for i in range(3):
             r = build_realization(config, realization_rng(42, i))
             h.update(np.round(r.ue_xy, 6).tobytes())
             h.update(np.int64(r.tagged_bs).tobytes())
             h.update(np.bool_(r.probe_truncated).tobytes())
-        assert len(fans) >= 3
+        assert len(boxes) >= 3
         assert h.hexdigest() == digest
 
     def test_report_bitwise_stable_across_workers(self):

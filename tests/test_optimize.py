@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from upcell import analytic
-from upcell.model import NetworkConfig, TierConfig, dbm_to_watts
+from upcell.model import NetworkConfig, TierConfig
 from upcell.optimize import OBJECTIVES, objective_value, refine_optimum, sweep
 from upcell.specfun import QuadratureError
 
@@ -126,7 +126,7 @@ def test_objective_value_matches_sweep_extractor(config, objective):
     extract = OBJECTIVES[objective][0]
     for tier in range(config.n_tiers):
         for rho_dbm in (-100.0, -75.0, -50.0):
-            cfg = config.with_tier_rho_o(tier, dbm_to_watts(rho_dbm))
+            cfg = config.with_tier_rho_o(tier, rho_dbm)
             assert objective_value(cfg, tier, objective) == extract(
                 analytic.full_report(cfg, tier)
             )
@@ -149,7 +149,7 @@ class TestRefineOptimum:
         i = coarse.opt_index
         xs = np.linspace(coarse.values_dbm[i - 1], coarse.values_dbm[i + 1], 10001)
         brute = [
-            objective_value(cfg.with_tier_rho_o(0, dbm_to_watts(x)), 0,
+            objective_value(cfg.with_tier_rho_o(0, x), 0,
                             "total_outage")
             for x in xs
         ]
