@@ -10,15 +10,23 @@ composes them and picks the tagged BS:
    over the BS's eligible region: the points of the expanded window that
    the BS serves and whose channel-inversion power fits the budget.  Each
    BS draws rejection-sampling proposals uniformly in a region that
-   contains that region: a disc about it, or on a triangulated tier a box,
-   its same-tier Voronoi cell's bounding box clipped to its reach and to
-   the expanded window.  :func:`_proposal_regions` chooses the region, and
-   :class:`_Regions` draws from it.  Any region that holds the eligible
-   region gives the same UE law, so the choice changes speed, never the
-   distribution.  The BS keeps the first proposal that lies in the window,
-   is served by it, and fits the budget.  Unresolved BSs get twice as many
-   proposals each round; a realization in which an inner-window BS is
-   still unresolved after the round cap is discarded and counted.
+   contains that region.  :func:`_proposal_regions` picks one of three
+   routes per tier by its load, the number of its BSs a reach disc holds
+   on average:
+   - up to ``SEED_ABOVE``, a disc about the BS;
+   - up to ``TRIANGULATE_ABOVE``, the tier is seeded: a seed round of
+     points uniform on the whole expanded window comes first, and a BS of
+     any tier keeps the first seed point it serves within budget; a BS
+     that keeps none goes on with its disc;
+   - above it, a box: the BS's same-tier Voronoi cell's bounding box
+     clipped to its reach and to the expanded window.
+   :class:`_Regions` draws from the discs and boxes.  Any region that
+   holds the eligible region gives the same UE law, and so does the seed
+   round, so the route changes speed, never the distribution.  The BS
+   keeps the first proposal that lies in the window, is served by it, and
+   fits the budget.  Unresolved BSs get twice as many proposals each
+   round; a realization in which an inner-window BS is still unresolved
+   after the round cap is discarded and counted.
 3. Tag the BS nearest the window centre, picked right after the layout
    (the rule draws nothing; a realization with no inner-window BS of the
    measured tier is discarded and counted): the BS whose cell covers the
@@ -74,10 +82,15 @@ MAX_BATCHES = 50
 MAX_ROUND_POINTS = 2**16
 # Newton steps for the cross-tier bound; an unconverged root is discarded
 NEWTON_STEPS = 8
-# a tier's same-tier Voronoi cells are bounded only when its proposal
-# discs hold more than this many of its BSs on average; below it the
-# Delaunay triangulation costs more than the proposals the boxes save
-TRIANGULATE_ABOVE = 4.0
+# a tier is seeded when its proposal discs hold more than SEED_ABOVE of its
+# BSs on average, and triangulated when they hold more than
+# TRIANGULATE_ABOVE; below SEED_ABOVE its discs accept well enough alone,
+# and up to TRIANGULATE_ABOVE one whole-square round costs less than the
+# Delaunay triangulation that the boxes need
+SEED_ABOVE = 4.0
+TRIANGULATE_ABOVE = 10.0
+# points per seeded BS in the seed round
+SEED_POINTS = 3
 # two-sided 95% standard normal quantile of every confidence interval
 _Z_95 = 1.96
 
@@ -208,10 +221,12 @@ def _cell_boxes(sites: np.ndarray, half: float):
 class _Regions:
     """Per BS, tiers concatenated, the region its proposals are drawn from:
     the box [lo[b], hi[b]] where ``box[b]``, else the disc of radius
-    ``radius[b]`` about the BS ``xy[b]``."""
+    ``radius[b]`` about the BS ``xy[b]``; ``seeded[b]`` marks a BS of a
+    seeded tier, which draws from its disc."""
 
-    def __init__(self, xy, radius, lo, hi, box):
+    def __init__(self, xy, radius, lo, hi, box, seeded):
         self.xy, self.radius, self.lo, self.hi, self.box = xy, radius, lo, hi, box
+        self.seeded = seeded
 
     def propose(self, bs: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
         """``m`` points for each of ``bs``, uniform in its region: shape
@@ -234,12 +249,18 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
     [-half, half]^2 that the BS serves within its reach: a disc about it or
     a box.
 
-    The disc's radius is min(reach, cross-tier bound).  A BS serves no
-    point that a same-tier BS is nearer to, so its region also lies in its
-    same-tier cell.  On a tier with pi lambda_k mean(radius^2) above
-    ``TRIANGULATE_ABOVE``, lambda_k its count over the square's area, every
-    BS draws from its cell's bounding box clipped to the square of side
-    2 radius about it and to the square [-half, half]^2.
+    The disc's radius is min(reach, cross-tier bound).  The route of a tier
+    follows its load pi lambda_k mean(radius^2), lambda_k its count over
+    the square's area: the number of its BSs a disc holds on average.
+    - Up to ``SEED_ABOVE``, its BSs draw from their discs.
+    - Above ``SEED_ABOVE`` and up to ``TRIANGULATE_ABOVE``, the tier is
+      seeded: its BSs are marked in ``seeded`` and keep their discs, for
+      the rounds after :func:`_schedule`'s seed round.
+    - Above ``TRIANGULATE_ABOVE``, a BS serves no point that a same-tier BS
+      is nearer to, so its region also lies in its same-tier cell: every
+      BS draws from its cell's bounding box clipped to the square of side
+      2 radius about it and to the square [-half, half]^2.
+
     For a tier-k BS and a tier i with eta_i < eta_k, let D be the distance
     from the BS to its nearest tier-i BS ``a``.  A point x at distance r
     that the BS serves has r^eta_k <= |x - a|^eta_i <= (D + r)^eta_i, so r
@@ -283,6 +304,7 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
     # a disc BS's box is never read
     lo, hi = np.empty_like(xy), np.empty_like(xy)
     box = np.zeros(len(xy), dtype=bool)
+    seeded = np.zeros(len(xy), dtype=bool)
     for k, start in enumerate(np.cumsum([0] + counts[:-1])):
         own = slice(start, start + counts[k])
         load = counts[k] and math.pi * density[k] * np.mean(radius[own]**2)
@@ -292,7 +314,9 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
             lo[own] = np.maximum(cell_lo, np.maximum(xy[own] - r, -half))
             hi[own] = np.minimum(cell_hi, np.minimum(xy[own] + r, half))
             box[own] = True
-    return _Regions(xy, radius, lo, hi, box), queried
+        elif load > SEED_ABOVE:
+            seeded[own] = True
+    return _Regions(xy, radius, lo, hi, box, seeded), queried
 
 
 @dataclass
@@ -330,9 +354,25 @@ def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
     """Protocol step 2: schedule one UE per BS of ``tier_xy`` in the square
     [-half, half]^2, drawing every proposal from ``rng``.
 
+    When a tier is seeded (see :func:`_proposal_regions`), a seed round
+    comes first: ``SEED_POINTS`` points per seeded BS, at most
+    ``MAX_ROUND_POINTS``, uniform on the square and queried at once.  Every
+    BS, of any tier, keeps the first seed point that it serves within
+    budget.  The law is that of rejection sampling alone.  The seed points
+    are i.i.d. uniform on the square, so given that a point lands in the
+    eligible region E_b of BS b, it is uniform on E_b; which point lands
+    there first depends on the points' region labels, not on where in
+    their regions they lie; and given every point's label, the positions
+    are independent.  So each BS that keeps a seed point holds a UE
+    uniform on E_b, independent of the others, and a BS that keeps none
+    rejection-samples from a region that holds E_b, which gives the same
+    law.  The rounds after it draw from the BSs' own regions, and their
+    doubling resumes at 8 proposals per BS, as though the seed round had
+    been the first three.
+
     Returns each BS's UE position and transmit power (zero for a BS still
-    pending), the BSs still pending after ``MAX_BATCHES`` rounds, and the
-    points queried and the queries made per tree.
+    pending), the BSs still pending after ``MAX_BATCHES`` rounds, seed
+    round included, and the points queried and the queries made per tree.
     """
     start = np.cumsum([0] + [len(p) for p in tier_xy[:-1]])
     etas = np.array([t.eta for t in config.tiers])
@@ -345,10 +385,24 @@ def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
     ue_power = np.zeros(n_bs)
     pending = np.arange(n_bs)
     n_points = n_bs if queried else 0
-    n_rounds = 0
+    n_rounds = doublings = 0
+    n_seed = min(SEED_POINTS * int(np.count_nonzero(regions.seeded)), MAX_ROUND_POINTS)
+    if n_seed:
+        pts = rng.uniform(-half, half, size=(n_seed, 2))
+        n_points += n_seed
+        n_rounds, doublings = 1, 3
+        tier, local, weight = best_link(pts, trees, etas)
+        power = rhos[tier] * weight
+        fits = np.flatnonzero(power <= config.p_max)
+        # np.unique returns the first index of each value
+        served, first = np.unique(start[tier[fits]] + local[fits], return_index=True)
+        ue_xy[served] = pts[fits[first]]
+        ue_power[served] = power[fits[first]]
+        pending = np.setdiff1d(pending, served, assume_unique=True)
     while pending.size and n_rounds < MAX_BATCHES:
-        m = max(1, min(2**n_rounds, MAX_ROUND_POINTS // pending.size))
+        m = max(1, min(2**doublings, MAX_ROUND_POINTS // pending.size))
         n_rounds += 1
+        doublings += 1
         pts = regions.propose(pending, m, rng).reshape(-1, 2)
         n_points += len(pts)
         tier, local, weight = best_link(pts, trees, etas)

@@ -5,6 +5,7 @@ IntegrationWarning filter), and a process sets its start method once."""
 
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,14 @@ import pytest
 import upcell
 
 SRC = str(Path(upcell.__file__).resolve().parents[1])
+
+
+def test_package_version_matches_pyproject():
+    # a run manifest records ``upcell.__version__``, so it must move with
+    # the packaged version; read with a regex, as tomllib needs Python 3.11
+    text = (Path(SRC).parent / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, flags=re.MULTILINE)
+    assert version == upcell.__version__
 
 
 def run_fresh(code: str, *args: str) -> None:

@@ -97,10 +97,10 @@ def two_tier_config():
     )
 
 
-def common_exponent_config():
+def common_exponent_config(rho_o_dbm=(-70.0, -72.0)):
     return NetworkConfig.from_engineering(
-        tiers=[TierConfig.from_engineering(10.0, -70.0, 0.0, 4.0),
-               TierConfig.from_engineering(10.0, -72.0, 0.0, 4.0)],
+        tiers=[TierConfig.from_engineering(10.0, rho_o_dbm[0], 0.0, 4.0),
+               TierConfig.from_engineering(10.0, rho_o_dbm[1], 0.0, 4.0)],
         window_km=2.0,
         guard_km=0.3,
     )
@@ -305,9 +305,8 @@ class TestSingleBaseStation:
 class TestSaturation:
     # every BS has eligible area around it, so a realization fails only
     # through the round cap or an empty inner window: at -60 dBm the small
-    # window is not triangulated, and one proposal round in the discs
-    # cannot schedule all of its ~80 inner BSs (at -70 dBm most cells lie
-    # within reach, and one proposal in each box often does)
+    # window keeps its discs, and one proposal round in them cannot
+    # schedule all of its ~80 inner BSs
 
     def test_infeasible_cutoff_raises(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "MAX_BATCHES", 1)
@@ -463,7 +462,9 @@ class TestScheduler:
 
     def test_boxes_lie_in_the_drop_square(self):
         # cells of edge sites reach past the square; the boxes stop at it
-        tier_xy, trees, etas, reach, half = drawn_layout(small_config(), 0)
+        # (load pi lambda reach^2 about 21, above ``TRIANGULATE_ABOVE``)
+        tier_xy, trees, etas, reach, half = drawn_layout(
+            small_config(rho_o_dbm=-80.0), 0)
         regions, _ = montecarlo._proposal_regions(tier_xy, trees, etas, reach, half)
         assert regions.box.all()
         assert (regions.lo >= -half).all() and (regions.hi <= half).all()
@@ -487,8 +488,8 @@ class TestScheduler:
         assert (regions.lo >= -half).all() and (regions.hi <= half).all()
 
     @pytest.mark.parametrize("config, index", [
-        (small_config(), 0),
-        (common_exponent_config(), 1),
+        (small_config(rho_o_dbm=-80.0), 0),
+        (common_exponent_config((-70.0, -82.0)), 1),
         (two_tier_config(), 0),
         (small_config(window_km=1.0, guard_km=0.2, p_max=math.inf), 0),
     ], ids=["single", "common", "mixed", "unbounded"])
@@ -559,6 +560,70 @@ class TestScheduler:
                            (np.hypot(*ue.T), np.hypot(*ref.T))):
             assert stats.ks_2samp(sim, brute).pvalue > 0.01
 
+    # the centre BS's cell is cut by its 422 m reach.  On one tier every
+    # BS is seeded; on two, the four others form a seeded tier 0 and the
+    # centre BS is tier 1 on discs, so that seed points land in a BS of a
+    # tier that is not seeded
+    @pytest.mark.parametrize("two_tiers", [False, True],
+                             ids=["seeded-tier", "unseeded-tier"])
+    def test_seed_round_keeps_ue_uniform(self, two_tiers, monkeypatch):
+        # the centre BS keeps the first of the seed points it serves within
+        # budget, two or more in most realizations: its UEs must match a
+        # brute-force uniform sample of its cell within reach, which any
+        # other pick among those points, e.g. the nearest, would not
+        centre = np.zeros((1, 2))
+        others = np.array([[600.0, 100.0], [-150.0, 580.0], [-620.0, -50.0],
+                           [80.0, -600.0]])
+        tier_xy = [others, centre] if two_tiers else [np.concatenate([centre, others])]
+        # the loads are 1.1 and 0.3 on two tiers, 1.4 on one
+        seed_above, mine, seeded = ((0.5, 4, [True] * 4 + [False]) if two_tiers
+                                    else (0.0, 0, [True] * 5))
+        cfg = NetworkConfig.from_engineering(
+            tiers=[TierConfig.from_engineering(len(p), -75.0, 0.0, 4.0)
+                   for p in tier_xy],
+            window_km=1.0, guard_km=0.2,
+        )
+        reach = (cfg.p_max / cfg.tiers[0].rho_o) ** 0.25
+        layout = {t.intensity: p for t, p in zip(cfg.tiers, tier_xy)}
+        monkeypatch.setattr(montecarlo, "sample_ppp", lambda lam, *args: layout[lam])
+        monkeypatch.setattr(montecarlo, "SEED_ABOVE", seed_above)
+        regions, _ = montecarlo._proposal_regions(
+            tier_xy, [cKDTree(p) for p in tier_xy], np.full(len(tier_xy), 4.0),
+            np.full(len(tier_xy), reach), 700.0)
+        assert list(regions.seeded) == seeded and not regions.box.any()
+
+        queries = []
+
+        def recording_link(points, trees, etas):
+            if np.ndim(points) == 2:
+                queries.append(points)
+            return best_link(points, trees, etas)
+
+        monkeypatch.setattr(montecarlo, "best_link", recording_link)
+        ue, from_seed = [], 0
+        for i in range(400):
+            queries.clear()
+            # the centre BS is the one inner-window BS
+            r = build_realization(cfg, realization_rng(9, i), len(tier_xy) - 1)
+            (xy,) = r.ue_xy[r.ue_bs == mine]
+            ue.append(xy)
+            # the first query is the seed round, 3 points per seeded BS
+            assert len(queries[0]) == 3 * sum(seeded)
+            from_seed += (queries[0] == xy).all(axis=1).any()
+        ue = np.array(ue)
+        # a seed point lands in the centre BS's region in 92-96% of them
+        assert from_seed > 300
+
+        box = np.random.default_rng(6).uniform(-reach, reach, size=(200000, 2))
+        in_reach = np.hypot(*box.T) <= reach
+        cell = cKDTree(np.concatenate(tier_xy)).query(box)[1] == mine
+        ref = box[cell & in_reach]
+        # the reach cuts the cell, and the cell the reach disc
+        assert (cell & ~in_reach).any() and (~cell & in_reach).any()
+        for sim, brute in ((ue[:, 0], ref[:, 0]), (ue[:, 1], ref[:, 1]),
+                           (np.hypot(*ue.T), np.hypot(*ref.T))):
+            assert stats.ks_2samp(sim, brute).pvalue > 0.01
+
     def test_isolated_ue_radius_uniform_in_area(self):
         # rho_o = 0 dBm: a BS with no other BS within twice the 5.6 m reach
         # has the whole reach disc as eligible region, so r^2 / reach^2 is
@@ -618,12 +683,12 @@ def cross_tier_root(d, eta_i, eta_k):
 
 def radius_without_cross_bound(tier_xy, etas, reach, half):
     """Per BS, the proposal radius that the cross-tier bound leaves alone,
-    its reach, and per tier whether it is triangulated: it is when
-    pi n_k / (2 half)^2 times the mean of min(reach, r*)^2 over the tier
-    exceeds ``TRIANGULATE_ABOVE``, r* the least cross-tier root
-    (bracketed)."""
+    its reach, and per tier its route by the load L = pi n_k / (2 half)^2
+    times the mean of min(reach, r*)^2 over the tier, r* the least
+    cross-tier root (bracketed): "box" above ``TRIANGULATE_ABOVE``, else
+    "seeded" above ``SEED_ABOVE``, else "disc"."""
     trees = [cKDTree(p) if len(p) else None for p in tier_xy]
-    old, cells = [], []
+    old, routes = [], []
     for k, sites in enumerate(tier_xy):
         if not len(sites):
             continue
@@ -634,9 +699,10 @@ def radius_without_cross_bound(tier_xy, etas, reach, half):
                     d = trees[i].query(site)[0]
                     cut[b] = min(cut[b], cross_tier_root(d, eta_i, etas[k]))
         load = math.pi * len(sites) / (2.0 * half) ** 2 * np.mean(cut**2)
-        cells.append(load > montecarlo.TRIANGULATE_ABOVE)
+        routes.append("box" if load > montecarlo.TRIANGULATE_ABOVE
+                      else "seeded" if load > montecarlo.SEED_ABOVE else "disc")
         old.append(np.full(len(sites), reach[k]))
-    return np.concatenate(old), cells
+    return np.concatenate(old), routes
 
 
 class TestCrossTierBound:
@@ -719,25 +785,33 @@ class TestCrossTierBound:
         radius = regions.radius
         assert radius[1] == pytest.approx(1.0, rel=2e-9) and radius[1] >= 1.0
 
-    # pi lambda_k reach_k^2 is 6.8 (single), 2.1 (single, -60 dBm) and
-    # 3.5 / 3.3 or 3.1 / 4.9 (common, realization 0 or 1)
-    @pytest.mark.parametrize("config, index, cells", [
-        (small_config(), 0, [True]),
-        (small_config(rho_o_dbm=-60.0), 0, [False]),
-        (common_exponent_config(), 0, [False, False]),
-        (common_exponent_config(), 1, [False, True]),
-    ], ids=["single", "single-reach", "common", "common-mixed"])
-    def test_single_exponent_radius_untouched(self, config, index, cells):
+    # pi lambda_k reach_k^2 is 21.4 (single), 6.8 (single, -70 dBm), 2.1
+    # (single, -60 dBm), 3.5 / 3.3 (common, realization 0), 3.1 / 15.5
+    # (common, tier 1 at -82 dBm, realization 1) and 3.1 / 4.9 (common,
+    # realization 1)
+    @pytest.mark.parametrize("config, index, routes", [
+        (small_config(rho_o_dbm=-80.0), 0, ["box"]),
+        (small_config(), 0, ["seeded"]),
+        (small_config(rho_o_dbm=-60.0), 0, ["disc"]),
+        (common_exponent_config(), 0, ["disc", "disc"]),
+        (common_exponent_config((-70.0, -82.0)), 1, ["disc", "box"]),
+        (common_exponent_config(), 1, ["disc", "seeded"]),
+    ], ids=["single", "single-seeded", "single-reach", "common", "common-mixed",
+            "common-seeded"])
+    def test_single_exponent_radius_untouched(self, config, index, routes):
         tier_xy, trees, etas, reach, half = drawn_layout(config, index)
         regions, queried = montecarlo._proposal_regions(
             tier_xy, trees, etas, reach, half)
         assert not queried
         old, applied = radius_without_cross_bound(tier_xy, etas, reach, half)
-        assert applied == cells
+        assert applied == routes
         np.testing.assert_array_equal(regions.radius, old)
-        # every BS of a triangulated tier draws from a box, no other BS does
+        # every BS of a triangulated tier draws from a box, every BS of a
+        # seeded tier is marked, and no other BS is either
         counts = [len(p) for p in tier_xy]
-        np.testing.assert_array_equal(regions.box, np.repeat(cells, counts))
+        routes = np.repeat(routes, counts)
+        np.testing.assert_array_equal(regions.box, routes == "box")
+        np.testing.assert_array_equal(regions.seeded, routes == "seeded")
 
     @pytest.mark.parametrize("config", [small_config(rho_o_dbm=-60.0),
                                         common_exponent_config()],
@@ -752,7 +826,7 @@ class TestCrossTierBound:
                 tier_xy, trees, etas, reach, half)
             radius = regions.radius
             _, applied = radius_without_cross_bound(tier_xy, etas, reach, half)
-            assert not all(applied)
+            assert set(applied) != {"box"}
             sites = np.concatenate(tier_xy)
             offsets = np.cumsum([0] + [len(p) for p in tier_xy[:-1]])
             points = rng.uniform(-half, half, size=(20000, 2))
@@ -765,12 +839,16 @@ class TestCrossTierBound:
         assert n_points > 50000
 
     @pytest.mark.parametrize("config, expected", [
-        (small_config(), [(3, 350), (4, 410), (3, 365)]),
-        (common_exponent_config(), [(6, 1668), (6, 1142), (7, 1217)]),
-    ], ids=["single", "common"])
+        (small_config(rho_o_dbm=-80.0), [(3, 350), (4, 410), (3, 365)]),
+        (common_exponent_config((-70.0, -82.0)), [(7, 1462), (6, 1440), (6, 1263)]),
+        (small_config(), [(6, 1398), (5, 1174), (5, 1187)]),
+        (common_exponent_config(), [(6, 1668), (5, 1284), (6, 1577)]),
+    ], ids=["single", "common", "single-seeded", "common-seeded"])
     def test_single_exponent_counts_untouched(self, config, expected):
         # rounds and proposals of the sampler without the cross-tier bound,
-        # on the scheduler's own stream
+        # on the scheduler's own stream: boxes and discs as v0.4.0 drew
+        # them, and a seed round on every seeded case but realization 0 of
+        # common-seeded, whose two tiers both keep discs
         counts = []
         for i in range(3):
             r = build_realization(config, realization_rng(42, i))
@@ -802,8 +880,12 @@ class TestCrossTierBound:
                            (np.hypot(*ue.T), np.hypot(*ref.T))):
             assert stats.ks_2samp(sim, brute).pvalue > 0.01
 
-    @pytest.mark.parametrize("config", [two_tier_config(), small_config()],
-                             ids=["mixed", "single"])
+    # one case per route: single is seeded, boxes and disc are the same
+    # network at -80 and -60 dBm, and mixed adds the cross-tier query
+    @pytest.mark.parametrize("config", [
+        two_tier_config(), small_config(), small_config(rho_o_dbm=-80.0),
+        small_config(rho_o_dbm=-60.0),
+    ], ids=["mixed", "single", "boxes", "disc"])
     def test_counters_match_tree_queries(self, config, monkeypatch):
         made = []
 
@@ -819,6 +901,19 @@ class TestCrossTierBound:
             assert sum(tree.queries) == r.n_ue_dropped
 
 
+def stream_digest(config):
+    """SHA-256 of the UEs (to the micrometre, so that a last-bit
+    difference in sin or cos between platforms does not count), the
+    tagged BS and the probe of realizations 0-2 at seed 42."""
+    h = hashlib.sha256()
+    for i in range(3):
+        r = build_realization(config, realization_rng(42, i))
+        h.update(np.round(r.ue_xy, 6).tobytes())
+        h.update(np.int64(r.tagged_bs).tobytes())
+        h.update(np.bool_(r.probe_truncated).tobytes())
+    return h.hexdigest()
+
+
 class TestReproducibility:
     def test_identical_seed_identical_realization(self):
         cfg = small_config()
@@ -831,8 +926,9 @@ class TestReproducibility:
     @pytest.mark.parametrize("config", [small_config(), two_tier_config()],
                              ids=["single", "mixed"])
     def test_scheduler_moves_no_other_stage(self, config, monkeypatch):
-        # one layout scheduled with every cell bound and with none: the
-        # proposals differ, the layout, probe and per-BS fades do not
+        # one layout scheduled on every route, every tier triangulated,
+        # every tier seeded and every tier on discs: the proposals differ,
+        # the layout, probe and per-BS fades do not
         probes = []
 
         def recording_link(points, trees, etas):
@@ -842,16 +938,20 @@ class TestReproducibility:
 
         monkeypatch.setattr(montecarlo, "best_link", recording_link)
         runs = []
-        for cutoff in (0.0, math.inf):
-            monkeypatch.setattr(montecarlo, "TRIANGULATE_ABOVE", cutoff)
+        for cutoffs in ((0.0, 0.0), (math.inf, 0.0), (math.inf, math.inf)):
+            monkeypatch.setattr(montecarlo, "TRIANGULATE_ABOVE", cutoffs[0])
+            monkeypatch.setattr(montecarlo, "SEED_ABOVE", cutoffs[1])
             runs.append(build_realization(config, realization_rng(3, 5)))
-        a, b = runs
-        assert a.n_ue_dropped != b.n_ue_dropped
-        assert not np.array_equal(a.ue_xy, b.ue_xy)
-        np.testing.assert_array_equal(a.bs_xy, b.bs_xy)
-        np.testing.assert_array_equal(probes[0], probes[1])
-        assert a.probe_truncated == b.probe_truncated
-        assert a.tagged_fade == b.tagged_fade
+        a = runs[0]
+        for b in runs[1:]:
+            assert a.n_ue_dropped != b.n_ue_dropped
+            assert not np.array_equal(a.ue_xy, b.ue_xy)
+            np.testing.assert_array_equal(a.bs_xy, b.bs_xy)
+            assert a.probe_truncated == b.probe_truncated
+            assert a.tagged_fade == b.tagged_fade
+        assert runs[1].n_ue_dropped != runs[2].n_ue_dropped
+        for probe in probes[1:]:
+            np.testing.assert_array_equal(probes[0], probe)
         # BS b's fade is draw b of the fade stream, the second jump
         fades = np.random.Generator(
             realization_rng(3, 5).bit_generator.jumped(2)).exponential(size=len(a.bs_xy))
@@ -885,15 +985,15 @@ class TestReproducibility:
         assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("config, digest", [
-        (small_config(),
-         "0dc46c6454ad038895e6debbc7bd3b90bfa6c91a67d35661fa6292516245ba40"),
+        (small_config(rho_o_dbm=-80.0),
+         "30a6a4fee90cc562df86aab9cf7b6dfcc95f60bae9b9873ea4fcf8ab3d088edb"),
         (two_tier_config(),
          "805ece01487e6346011c1d2aa51347fe6a9f81303e8d6f7d30077eca4f3d436c"),
     ], ids=["single", "mixed"])
     def test_triangulated_stream_pinned(self, config, digest, monkeypatch):
         # box proposals and, on the mixed config, the cross-tier bound: the
-        # UEs (to the micrometre, as above), the tagged BS and the probe of
-        # realizations 0-2 at seed 42, as v0.4.0 drew them
+        # UEs, the tagged BS and the probe of realizations 0-2 at seed 42,
+        # as v0.4.0 drew them
         boxes = []
 
         def counted(*args):
@@ -902,14 +1002,22 @@ class TestReproducibility:
 
         cell_boxes = montecarlo._cell_boxes
         monkeypatch.setattr(montecarlo, "_cell_boxes", counted)
-        h = hashlib.sha256()
-        for i in range(3):
-            r = build_realization(config, realization_rng(42, i))
-            h.update(np.round(r.ue_xy, 6).tobytes())
-            h.update(np.int64(r.tagged_bs).tobytes())
-            h.update(np.bool_(r.probe_truncated).tobytes())
+        assert stream_digest(config) == digest
         assert len(boxes) >= 3
-        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("config, digest", [
+        (small_config(),
+         "922f8d93689976aa82a05319aa71c36ff737a1ff641fd9c6a979b7bc12e3ec93"),
+        (common_exponent_config(),
+         "db8a3caff329336ec319c9de38f76693bff7ba9eae403d49c7bc7955e9e4d25b"),
+    ], ids=["single", "common"])
+    def test_seeded_stream_pinned(self, config, digest, monkeypatch):
+        # a seed round, then discs, with no triangulation: the UEs, the
+        # tagged BS and the probe of realizations 0-2 at seed 42, as v0.5.0
+        # draws them (tier 1 of the common config is seeded in realizations
+        # 1 and 2 only)
+        monkeypatch.setattr(montecarlo, "_cell_boxes", None)
+        assert stream_digest(config) == digest
 
     def test_report_bitwise_stable_across_workers(self):
         cfg = small_config()
@@ -925,8 +1033,9 @@ class TestReproducibility:
         assert r1.sinr_outage != r2.sinr_outage
 
 
-@pytest.mark.parametrize("config", [small_config(), small_config(rho_o_dbm=-60.0)],
-                         ids=["triangulated", "disc"])
+@pytest.mark.parametrize("config", [
+    small_config(rho_o_dbm=-80.0), small_config(), small_config(rho_o_dbm=-60.0),
+], ids=["triangulated", "seeded", "disc"])
 def test_estimates_invariant_under_scale_map(config, scaled):
     # c times the density, with cutoffs and noise scaled to match, is the
     # same network seen from farther away: powers of 4 scale every length
