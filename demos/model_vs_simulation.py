@@ -5,7 +5,8 @@ The analytic outage expressions approximate the interfering UEs by a
 Poisson process with independent transmit powers.  This script checks
 that approximation against the full protocol simulation (PPP deployment,
 best-link association, one scheduled UE per cell, channel-inversion powers,
-Rayleigh-faded SINR at the BS nearest the window centre).
+Rayleigh-faded SINR at the serving BS of a typical active UE) on a
+periodic window.
 
 A compact window keeps the runtime around a minute; push ``ITERATIONS``
 and ``WINDOW_KM`` up for tighter intervals.

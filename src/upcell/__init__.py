@@ -2,7 +2,7 @@
 channel-inversion power control: analytic metrics, a faithful Monte Carlo
 simulator, and cutoff-threshold optimization."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .model import (
     ConfigError,

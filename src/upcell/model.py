@@ -143,8 +143,7 @@ class NetworkConfig:
     :meth:`from_engineering` for a checked config.
     ``p_max`` may be ``math.inf`` to model an unconstrained transmit power;
     the analytic special cases for that regime are then evaluated exactly.
-    ``guard_margin`` of ``None`` selects the default guard of
-    5 * max_k (p_max / rho_o_k)^(1/eta_k), capped at window_side / 4.
+    The simulation window is the torus [0, window_side)^2.
     """
 
     tiers: tuple[TierConfig, ...]
@@ -152,7 +151,6 @@ class NetworkConfig:
     noise: float              # noise power sigma^2, W
     rho_min: float = 0.0      # receiver sensitivity, W (bounds the cutoffs only)
     window_side: float = 20000.0   # simulation window edge, m
-    guard_margin: float | None = None  # m; None -> auto
 
     @property
     def total_intensity(self) -> float:
@@ -165,12 +163,6 @@ class NetworkConfig:
     def common_exponent(self) -> bool:
         """True when every tier shares one path-loss exponent."""
         return len({t.eta for t in self.tiers}) <= 1
-
-    def effective_guard_margin(self) -> float:
-        if self.guard_margin is not None:
-            return self.guard_margin
-        reach = max((self.p_max / t.rho_o) ** (1.0 / t.eta) for t in self.tiers)
-        return min(5.0 * reach, self.window_side / 4.0)
 
     def with_tier_rho_o(self, j: int, rho_o_dbm: float) -> "NetworkConfig":
         """Copy of the config with tier ``j``'s cutoff replaced by
@@ -196,17 +188,18 @@ class NetworkConfig:
         noise_dbm: float | None = -90.0,
         rho_min_dbm: float | None = None,
         window_km: float = 20.0,
-        guard_km: float | None = None,
+        guard_km: None = None,
     ) -> "NetworkConfig":
         """Checked network from watts, dBm and km.  ``None`` means no
-        noise for ``noise_dbm``, no receiver-sensitivity floor for
-        ``rho_min_dbm`` and the automatic guard for ``guard_km``.
+        noise for ``noise_dbm`` and no receiver-sensitivity floor for
+        ``rho_min_dbm``.  ``guard_km`` must be ``None``: the simulation
+        window is periodic and has no guard ring.
 
         Raises :class:`ConfigError`, naming each offending argument, unless
         there is a tier and every cutoff exceeds the sensitivity floor;
         ``p_max_watts`` is positive (``inf`` allowed); noise and floor are
         finite and nonnegative in watts; ``window_km`` is finite and
-        positive; and ``guard_km``, when given, is finite and nonnegative.
+        positive; and ``guard_km`` is ``None``.
         """
         tiers = tuple(tiers)
         errors = [] if tiers else [("tiers", "at least one tier is required")]
@@ -222,10 +215,10 @@ class NetworkConfig:
                 "receiver sensitivity must be nonnegative"),
             window_side=_si(errors, "window_km", window_km, lambda x: x * 1000.0,
                             lambda x: x > 0, "window side must be positive"),
-            guard_margin=None if guard_km is None else _si(
-                errors, "guard_km", guard_km, lambda x: x * 1000.0,
-                lambda x: x >= 0, "guard margin must be nonnegative"),
         )
+        if guard_km is not None:
+            errors.append(("guard_km", "must be null or omitted: the simulation "
+                           "window is periodic, with no guard ring"))
         for k, t in enumerate(tiers):
             errors += _floor_errors(k, t.rho_o, config.rho_min)
         if errors:
@@ -279,7 +272,7 @@ class MetricsReport:
 #    "noise_dbm": -90.0,          # null: noiseless
 #    "rho_min_dbm": null,         # omitted or null: no sensitivity floor
 #    "window_km": 20.0,
-#    "guard_km": null}            # omitted or null: automatic guard
+#    "guard_km": null}            # omitted or null; the window is periodic
 
 _REQUIRED_TIER_KEYS = ("lambda_per_km2", "rho_o_dbm")
 _TIER_KEYS = _REQUIRED_TIER_KEYS + ("theta_db", "eta")

@@ -1,49 +1,55 @@
 """Monte Carlo simulation of the uplink system model.
 
 Protocol per realization, one stage per step; :func:`build_realization`
-composes them and picks the tagged BS:
+composes them:
 
-1. Layout: draw each tier's BSs as an independent PPP on an expanded
-   square window (the inner measurement window plus a guard ring on every
-   side).
-2. :func:`_schedule`: schedule one UE per BS, guard ring included, uniform
-   over the BS's eligible region: the points of the expanded window that
-   the BS serves and whose channel-inversion power fits the budget.  Each
-   BS draws rejection-sampling proposals uniformly in a region that
-   contains that region.  :func:`_proposal_regions` picks one of three
+1. Layout: draw each tier's BSs as an independent PPP on the torus
+   [0, L)^2, L the window side.  Every distance is the minimum-image
+   distance, so the window has no edge and every BS is statistically
+   equivalent to every other (a periodic edge correction).
+2. :func:`_tag`: drop one probe UE uniform on the torus to sample the
+   truncation-outage indicator, then pick the tagged BS of the measured
+   tier k: the serving BS of the first point, the probe first, that a
+   tier-k BS serves within budget.  That point is uniform on the union of
+   the tier's eligible regions, so a BS is tagged with probability
+   proportional to its eligible area, as the serving BS of a typical
+   active UE is.  A realization with no tier-k BS, or whose search finds
+   no such point within the round cap, is discarded and counted.
+3. :func:`_schedule`: schedule one UE per BS, uniform over the BS's
+   eligible region: the points of the torus that the BS serves and whose
+   channel-inversion power fits the budget.  Each BS draws
+   rejection-sampling proposals uniformly in a region that holds that
+   region and maps onto the torus one to one, so it lies in the square
+   of side L about the BS.  :func:`_proposal_regions` picks one of three
    routes per tier by its load, the number of its BSs a reach disc holds
    on average:
    - up to ``SEED_ABOVE``, a disc about the BS;
    - up to ``TRIANGULATE_ABOVE``, the tier is seeded: a seed round of
-     points uniform on the whole expanded window comes first, and a BS of
-     any tier keeps the first seed point it serves within budget; a BS
-     that keeps none goes on with its disc;
+     points uniform on the torus comes first, and a BS of any tier keeps
+     the first seed point it serves within budget; a BS that keeps none
+     goes on with its disc;
    - above it, a box: the BS's same-tier Voronoi cell's bounding box
-     clipped to its reach and to the expanded window.
-   :class:`_Regions` draws from the discs and boxes.  Any region that
-   holds the eligible region gives the same UE law, and so does the seed
-   round, so the route changes speed, never the distribution.  The BS
-   keeps the first proposal that lies in the window, is served by it, and
-   fits the budget.  Unresolved BSs get twice as many proposals each
-   round; a realization in which an inner-window BS is still unresolved
-   after the round cap is discarded and counted.
-3. Tag the BS nearest the window centre, picked right after the layout
-   (the rule draws nothing; a realization with no inner-window BS of the
-   measured tier is discarded and counted): the BS whose cell covers the
-   centre, so a BS is picked with probability proportional to its Voronoi
-   area.  It is neither the typical BS nor the serving BS of a typical
-   active UE (ROADMAP open item 1).  :func:`_measure`: its uplink is
-   received at rho_o * h with h a unit-mean exponential fade, while every
-   other scheduled UE interferes with power P_i h_i d_i^(-eta_j).  A
-   realization with an interfering UE on the tagged BS itself (d_i = 0)
-   is discarded and counted.
-4. :func:`_probe`: drop one independent probe UE in the inner window to
-   sample the truncation-outage indicator.
+     clipped to its reach.
+   A disc whose radius would exceed L/2 is a box too, the square of side
+   L about the BS.  :class:`_Regions` draws from the discs and boxes.  Any
+   region that holds the eligible region gives the same UE law, and so
+   does the seed round, so the route changes speed, never the
+   distribution.  The BS keeps the first proposal that it serves within
+   budget.  Unresolved BSs get twice as many proposals each round; a
+   realization with a BS still unresolved after the round cap is
+   discarded and counted.
+4. :func:`_measure`: the tagged BS's uplink is received at rho_o * h with
+   h a unit-mean exponential fade, while the UE of every other BS
+   interferes with power P_i h_i d_i^(-eta_j).  A realization with an
+   interfering UE on the tagged BS itself (d_i = 0) is discarded and
+   counted.
 
 Association follows the best average link: argmin over BSs of
 r^eta_tier(BS) with r in metres, which reduces to nearest-BS association
 when all tiers share an exponent.  :func:`best_link` makes every such
-decision, for the proposals and the probe alike.
+decision, for the proposals and the probe alike.  Proposals, seed points
+and UEs are not wrapped onto [0, L)^2: the periodic KD-trees wrap every
+query, and :func:`_measure` takes minimum-image distances.
 
 Reproducibility: realization ``i`` of a run uses a counter-based Philox
 stream keyed by ``(seed, i)``, so results are bitwise identical for a
@@ -51,7 +57,8 @@ given (seed, iterations) regardless of the worker count.  Each stage draws
 from its own substream of it: the layout from the stream itself, the
 scheduler's proposals, the fades and the probe from jumps of it 2^128
 draws apart.  The fades are indexed by BS, so a change to the scheduler
-moves neither the layout, nor the probe and O_p, nor any link's fade.
+moves neither the layout, nor the probe, the tag and O_p, nor any link's
+fade.
 """
 
 from __future__ import annotations
@@ -76,9 +83,11 @@ __all__ = [
     "estimate_metrics",
 ]
 
-# proposal rounds before a realization with an unscheduled BS is discarded
+# proposal rounds before a realization with an unscheduled BS is
+# discarded, and point batches before one whose tag search failed is
 MAX_BATCHES = 50
-# proposals per round over all unresolved BSs, once doubling reaches it
+# points per proposal round over all unresolved BSs, and per tag batch,
+# once doubling reaches it
 MAX_ROUND_POINTS = 2**16
 # Newton steps for the cross-tier bound; an unconverged root is discarded
 NEWTON_STEPS = 8
@@ -91,20 +100,22 @@ SEED_ABOVE = 4.0
 TRIANGULATE_ABOVE = 10.0
 # points per seeded BS in the seed round
 SEED_POINTS = 3
+# periodic copies of the sites within this many mean spacings of an edge
+# close the cells of the sites near it
+CELL_MARGIN = 2.0
 # two-sided 95% standard normal quantile of every confidence interval
 _Z_95 = 1.96
 
 
 class SaturationError(RuntimeError):
-    """The inner window holds no BS of the measured tier, an inner-window
-    BS got no scheduled UE within the round cap, or an interfering UE lies
-    on the measured BS."""
+    """The measured tier has no BS, the tag search or a BS's scheduling
+    reached the round cap, or an interfering UE lies on the measured BS."""
 
 
 def sample_ppp(
     intensity: float, side: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Homogeneous PPP on a square of the given side centred at the origin.
+    """Homogeneous PPP on the square [0, side)^2.
 
     Returns an (n, 2) array with n ~ Poisson(intensity * side^2) and
     positions i.i.d. uniform.
@@ -114,19 +125,21 @@ def sample_ppp(
     if not side > 0:
         raise ValueError(f"window side must be positive, got {side}")
     n = rng.poisson(intensity * side * side)
-    return rng.uniform(-side / 2.0, side / 2.0, size=(n, 2))
+    return rng.uniform(0.0, side, size=(n, 2))
 
 
-def cKDTree(data: np.ndarray):
-    """``scipy.spatial.cKDTree(data)``, importing ``scipy.spatial`` on the
-    first call rather than with the package.
+def cKDTree(data: np.ndarray, boxsize: float):
+    """``scipy.spatial.cKDTree(data, boxsize=boxsize)``, a tree on the torus
+    [0, boxsize)^2, importing ``scipy.spatial`` on the first call rather
+    than with the package.  Every datum must lie in [0, boxsize); a query
+    point may lie anywhere, and its distances are minimum-image ones.
 
     :func:`build_realization` builds every tree through this module
     attribute, which the benchmark's trace hooks and the tests replace.
     """
     from scipy import spatial
 
-    return spatial.cKDTree(data)
+    return spatial.cKDTree(data, boxsize=boxsize)
 
 
 def _tier_distances(points, trees):
@@ -169,32 +182,37 @@ def best_link(points, trees, etas):
     )
 
 
-def _cell_boxes(sites: np.ndarray, half: float):
-    """The bounding box of each site's Voronoi cell: ``(lo, hi)``, each of
-    shape (n, 2).
+def _cell_boxes(sites: np.ndarray, side: float):
+    """The bounding box of each site's Voronoi cell on the torus
+    [0, side)^2, in the plane about the site: ``(lo, hi)``, each of shape
+    (n, 2).
 
-    The convex-hull sites (every site, when they span no triangle) are
-    mirrored across the four edges of the square [-half, half]^2: a
-    mirrored site wins no point inside the square, so each cell keeps its
-    part in the square.  A cell's vertices are the circumcentres of the
-    Delaunay triangles around its site, and its box is their extent along
-    each axis.  A site whose cell does not close gets (-inf, inf) on both
-    axes: a repeated site, left out of every triangle, a site next to a
-    degenerate triangle, and a site on the hull of the mirrored set.
+    The sites within ``CELL_MARGIN`` mean spacings of an edge are copied
+    across it, shifted by ``side``, and those near a corner across both
+    edges too.  A cell computed from part of the periodic sites holds the
+    true cell, so every box holds its cell whatever the margin, which
+    trades the triangulation's size against how many cells close.  A
+    cell's vertices are the circumcentres of the Delaunay triangles around
+    its site, and its box is their extent along each axis.  A site whose
+    cell does not close gets (-inf, inf) on both axes: every site when the
+    sites span no triangle, a repeated site, left out of every triangle, a
+    site next to a degenerate triangle, and a site on the hull of the
+    copied set.
     """
-    from scipy.spatial import ConvexHull, Delaunay, QhullError
+    from scipy.spatial import Delaunay, QhullError
 
-    try:
-        hull = sites[ConvexHull(sites).vertices]
-    except QhullError:  # fewer than three sites, or all on one line
-        hull = sites
-    flip_x, flip_y = hull * (-1.0, 1.0), hull * (1.0, -1.0)
-    pts = np.concatenate([
-        sites,
-        flip_x + (2.0 * half, 0.0), flip_x - (2.0 * half, 0.0),
-        flip_y + (0.0, 2.0 * half), flip_y - (0.0, 2.0 * half),
+    margin = CELL_MARGIN * side / math.sqrt(len(sites))
+    # a copy shifted by +side (-side) comes from a site near the low (high) edge
+    near = {1: sites < margin, 0: np.ones_like(sites, dtype=bool),
+            -1: sites >= side - margin}
+    pts = np.concatenate([sites] + [
+        sites[near[sx][:, 0] & near[sy][:, 1]] + (sx * side, sy * side)
+        for sx in (-1, 0, 1) for sy in (-1, 0, 1) if sx or sy
     ])
-    tri = Delaunay(pts)
+    try:
+        tri = Delaunay(pts)
+    except QhullError:  # every point on one line
+        return np.full(sites.shape, -np.inf), np.full(sites.shape, np.inf)
     # np.take gathers rows far faster than fancy indexing
     a, b, c = np.take(pts, tri.simplices.T, axis=0)
     ab, ac = b - a, c - a
@@ -222,7 +240,7 @@ class _Regions:
     """Per BS, tiers concatenated, the region its proposals are drawn from:
     the box [lo[b], hi[b]] where ``box[b]``, else the disc of radius
     ``radius[b]`` about the BS ``xy[b]``; ``seeded[b]`` marks a BS of a
-    seeded tier, which draws from its disc."""
+    seeded tier, which takes part in the seed round."""
 
     def __init__(self, xy, radius, lo, hi, box, seeded):
         self.xy, self.radius, self.lo, self.hi, self.box = xy, radius, lo, hi, box
@@ -244,14 +262,15 @@ class _Regions:
         return pts
 
 
-def _proposal_regions(tier_xy, trees, etas, reach, half):
-    """Per BS, tiers concatenated, a region that holds every point of
-    [-half, half]^2 that the BS serves within its reach: a disc about it or
-    a box.
+def _proposal_regions(tier_xy, trees, etas, reach, side):
+    """Per BS, tiers concatenated, a region that holds every point of the
+    torus [0, side)^2 that the BS serves within its reach, and maps onto
+    the torus one to one: a disc about it or a box, in the square of side
+    ``side`` about it.
 
-    The disc's radius is min(reach, cross-tier bound).  The route of a tier
+    The radius is min(reach, cross-tier bound).  The route of a tier
     follows its load pi lambda_k mean(radius^2), lambda_k its count over
-    the square's area: the number of its BSs a disc holds on average.
+    the torus's area: the number of its BSs a disc holds on average.
     - Up to ``SEED_ABOVE``, its BSs draw from their discs.
     - Above ``SEED_ABOVE`` and up to ``TRIANGULATE_ABOVE``, the tier is
       seeded: its BSs are marked in ``seeded`` and keep their discs, for
@@ -259,7 +278,10 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
     - Above ``TRIANGULATE_ABOVE``, a BS serves no point that a same-tier BS
       is nearer to, so its region also lies in its same-tier cell: every
       BS draws from its cell's bounding box clipped to the square of side
-      2 radius about it and to the square [-half, half]^2.
+      2 min(radius, side / 2) about it.
+    A BS whose radius exceeds side / 2, which only a window a few reaches
+    wide holds, draws from the square of side ``side`` about it on any
+    route: a disc that wide would cover part of the torus twice.
 
     For a tier-k BS and a tier i with eta_i < eta_k, let D be the distance
     from the BS to its nearest tier-i BS ``a``.  A point x at distance r
@@ -300,19 +322,18 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
         root = np.exp(t) * (1.0 + 1e-9)
         ok = eta_k * np.log(root) >= eta_i * np.log(d + root)
         radius[lower] = np.where(ok, np.minimum(radius[lower], root), radius[lower])
-    density = np.asarray(counts) / (2.0 * half) ** 2
     # a disc BS's box is never read
-    lo, hi = np.empty_like(xy), np.empty_like(xy)
-    box = np.zeros(len(xy), dtype=bool)
+    half = np.minimum(radius, side / 2.0)[:, np.newaxis]
+    lo, hi = xy - half, xy + half
+    box = radius > side / 2.0
     seeded = np.zeros(len(xy), dtype=bool)
     for k, start in enumerate(np.cumsum([0] + counts[:-1])):
         own = slice(start, start + counts[k])
-        load = counts[k] and math.pi * density[k] * np.mean(radius[own]**2)
+        load = counts[k] and math.pi * counts[k] / side**2 * np.mean(radius[own]**2)
         if load > TRIANGULATE_ABOVE:
-            cell_lo, cell_hi = _cell_boxes(tier_xy[k], half)
-            r = radius[own, np.newaxis]
-            lo[own] = np.maximum(cell_lo, np.maximum(xy[own] - r, -half))
-            hi[own] = np.minimum(cell_hi, np.minimum(xy[own] + r, half))
+            cell_lo, cell_hi = _cell_boxes(tier_xy[k], side)
+            lo[own] = np.maximum(cell_lo, lo[own])
+            hi[own] = np.minimum(cell_hi, hi[own])
             box[own] = True
         elif load > SEED_ABOVE:
             seeded[own] = True
@@ -323,43 +344,83 @@ def _proposal_regions(tier_xy, trees, etas, reach, half):
 class Realization:
     """One Monte Carlo draw.
 
-    ``ue_*`` arrays describe the scheduled UEs, one per BS (a guard-ring
-    BS still unresolved at the round cap has none); the tagged quantities
-    describe the measured link at the tier-``tagged_tier`` BS nearest the
-    window centre.  ``tagged_fade`` and ``tagged_interference`` are stored
-    so the SINR identity can be re-checked exactly.
+    ``ue_*`` arrays describe the scheduled UEs, one per BS and indexed by
+    BS; a UE's position is one of its images on the torus, as drawn, not
+    wrapped into [0, L)^2.  The tagged quantities describe the measured
+    link at BS ``tagged_bs``, of tier ``tagged_tier``.
+    ``tagged_fade`` and ``tagged_interference`` are stored so the SINR
+    identity can be re-checked exactly.
     """
 
-    bs_xy: np.ndarray          # (n_bs, 2) m
+    bs_xy: np.ndarray          # (n_bs, 2) m, in [0, L)^2
     bs_tier: np.ndarray        # (n_bs,) tier index
-    ue_xy: np.ndarray          # (n_sched, 2) m
-    ue_bs: np.ndarray          # (n_sched,) serving BS index
-    ue_power: np.ndarray       # (n_sched,) W
+    ue_xy: np.ndarray          # (n_bs, 2) m
+    ue_power: np.ndarray       # (n_bs,) W
     tagged_bs: int
     tagged_tier: int
     tagged_sinr: float
     tagged_fade: float
     tagged_interference: float
-    tagged_ue_power: float     # W, the scheduled UE in the tagged cell
     probe_truncated: bool
-    # 2-D queries of each non-empty tier's tree: one per proposal round,
-    # plus one of every BS site for the cross-tier bound when two tiers
-    # have different exponents; the probe's 1-D query is not counted
+    # 2-D queries of each non-empty tier's tree: one per proposal round and
+    # per tag batch, plus one of every BS site for the cross-tier bound
+    # when two tiers have different exponents; the probe's 1-D query is
+    # not counted
     n_ue_dropped: int          # points in those queries, per tree
     n_batches: int             # those queries, per tree
 
 
-def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
+def _tag(config: NetworkConfig, tier: int, trees, side: float,
+         rng: np.random.Generator):
+    """Protocol step 2: the probe's truncation indicator and the tagged BS,
+    both drawn from ``rng``.
+
+    The probe is one point uniform on the torus [0, side)^2, queried
+    alone.  Tier-specific truncation applies tier ``tier``'s cutoff to its
+    best-link weight, matching the analytic convention.  If a tier-``tier``
+    BS serves the probe within budget, that BS is tagged; otherwise
+    batches of 2, 4, 8, ... uniform points follow, at most
+    ``MAX_ROUND_POINTS`` each, and the serving BS of the first point in
+    draw order that a tier-``tier`` BS serves within budget is tagged.
+
+    Returns the indicator, the tagged BS's index within its tier, and the
+    points queried and the queries made per tree by the batches.  Raises
+    :class:`SaturationError` when the tier has no BS or ``MAX_BATCHES``
+    batches hold no such point.
+    """
+    if trees[tier] is None:
+        raise SaturationError(f"no tier-{tier} base station in the window")
+    etas = np.array([t.eta for t in config.tiers])
+    rho = config.tiers[tier].rho_o
+    # a single (2,) point: the probe is not a batch
+    served, local, weight = best_link(rng.uniform(0.0, side, size=2), trees, etas)
+    truncated = bool(rho * weight > config.p_max)
+    n_points = 0
+    for n_batches in range(MAX_BATCHES + 1):
+        if n_batches:
+            points = rng.uniform(0.0, side, size=(min(2**n_batches, MAX_ROUND_POINTS), 2))
+            n_points += len(points)
+            served, local, weight = best_link(points, trees, etas)
+        hit = np.flatnonzero((served == tier) & (rho * weight <= config.p_max))
+        if hit.size:
+            return truncated, int(np.ravel(local)[hit[0]]), n_points, n_batches
+    raise SaturationError(
+        f"no point served by a tier-{tier} BS within budget in {MAX_BATCHES} "
+        f"batches ({n_points} points queried per tree)"
+    )
+
+
+def _schedule(config: NetworkConfig, tier_xy, trees, side: float,
               rng: np.random.Generator):
-    """Protocol step 2: schedule one UE per BS of ``tier_xy`` in the square
-    [-half, half]^2, drawing every proposal from ``rng``.
+    """Protocol step 3: schedule one UE per BS of ``tier_xy`` on the torus
+    [0, side)^2, drawing every proposal from ``rng``.
 
     When a tier is seeded (see :func:`_proposal_regions`), a seed round
     comes first: ``SEED_POINTS`` points per seeded BS, at most
-    ``MAX_ROUND_POINTS``, uniform on the square and queried at once.  Every
+    ``MAX_ROUND_POINTS``, uniform on the torus and queried at once.  Every
     BS, of any tier, keeps the first seed point that it serves within
     budget.  The law is that of rejection sampling alone.  The seed points
-    are i.i.d. uniform on the square, so given that a point lands in the
+    are i.i.d. uniform on the torus, so given that a point lands in the
     eligible region E_b of BS b, it is uniform on E_b; which point lands
     there first depends on the points' region labels, not on where in
     their regions they lie; and given every point's label, the positions
@@ -370,15 +431,16 @@ def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
     doubling resumes at 8 proposals per BS, as though the seed round had
     been the first three.
 
-    Returns each BS's UE position and transmit power (zero for a BS still
-    pending), the BSs still pending after ``MAX_BATCHES`` rounds, seed
-    round included, and the points queried and the queries made per tree.
+    Returns each BS's UE position and transmit power, and the points
+    queried and the queries made per tree.  Raises
+    :class:`SaturationError` when a BS is still pending after
+    ``MAX_BATCHES`` rounds, seed round included.
     """
     start = np.cumsum([0] + [len(p) for p in tier_xy[:-1]])
     etas = np.array([t.eta for t in config.tiers])
     rhos = np.array([t.rho_o for t in config.tiers])
     reach = (config.p_max / rhos) ** (1.0 / etas)
-    regions, queried = _proposal_regions(tier_xy, trees, etas, reach, half)
+    regions, queried = _proposal_regions(tier_xy, trees, etas, reach, side)
 
     n_bs = len(regions.xy)
     ue_xy = np.zeros((n_bs, 2))
@@ -388,7 +450,7 @@ def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
     n_rounds = doublings = 0
     n_seed = min(SEED_POINTS * int(np.count_nonzero(regions.seeded)), MAX_ROUND_POINTS)
     if n_seed:
-        pts = rng.uniform(-half, half, size=(n_seed, 2))
+        pts = rng.uniform(0.0, side, size=(n_seed, 2))
         n_points += n_seed
         n_rounds, doublings = 1, 3
         tier, local, weight = best_link(pts, trees, etas)
@@ -407,11 +469,10 @@ def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
         n_points += len(pts)
         tier, local, weight = best_link(pts, trees, etas)
         power = rhos[tier] * weight
-        # a region may reach past the budget, and past the square
+        # a region may reach past the budget
         accept = (
             (start[tier] + local == np.repeat(pending, m))
             & (power <= config.p_max)
-            & (np.max(np.abs(pts), axis=1) <= half)
         ).reshape(pending.size, m)
         first = np.argmax(accept, axis=1)
         hit = accept[np.arange(pending.size), first]
@@ -419,37 +480,33 @@ def _schedule(config: NetworkConfig, tier_xy, trees, half: float,
         ue_xy[pending[hit]] = pts[chosen]
         ue_power[pending[hit]] = power[chosen]
         pending = pending[~hit]
-    return ue_xy, ue_power, pending, n_points, n_rounds + int(queried)
+    if pending.size:
+        raise SaturationError(
+            f"{pending.size} BSs unscheduled after {MAX_BATCHES} rounds "
+            f"({n_points} points queried per tree)"
+        )
+    return ue_xy, ue_power, n_points, n_rounds + int(queried)
 
 
-def _measure(config: NetworkConfig, tier: int, bs_xy, tagged: int, scheduled,
-             ue_xy, ue_power, rng: np.random.Generator):
-    """Protocol step 3: the uplink at BS ``tagged``, of tier ``tier``, from
-    the UEs of the BSs ``scheduled``, indexed by BS in ``ue_*``.  ``rng``
-    draws one fade per BS, that of the link from its UE to the tagged BS.
+def _measure(config: NetworkConfig, tier: int, bs_xy, tagged: int, ue_xy,
+             ue_power, side: float, rng: np.random.Generator):
+    """Protocol step 4: the uplink at BS ``tagged``, of tier ``tier``, from
+    the UEs of every other BS, indexed by BS in ``ue_*``, at their
+    minimum-image distances on the torus [0, side)^2.  ``rng`` draws one
+    fade per BS, that of the link from its UE to the tagged BS.
 
     Returns the tagged link's fade, the interference and the SINR.
     """
     eta_j, rho_j = config.tiers[tier].eta, config.tiers[tier].rho_o
     fades = rng.exponential(size=len(bs_xy))
-    interferers = scheduled[scheduled != tagged]
-    d = np.hypot(*(ue_xy[interferers] - bs_xy[tagged]).T)
+    offset = np.delete(ue_xy, tagged, axis=0) - bs_xy[tagged]
+    offset -= side * np.round(offset / side)
+    d = np.hypot(*offset.T)
     if not d.all():
         raise SaturationError("an interfering UE sits on the tagged BS")
-    interference = float(np.sum(ue_power[interferers] * fades[interferers] * d**-eta_j))
+    interference = float(np.sum(np.delete(ue_power * fades, tagged) * d**-eta_j))
     fade = float(fades[tagged])
     return fade, interference, float(rho_j * fade / (config.noise + interference))
-
-
-def _probe(config: NetworkConfig, tier: int, trees, rng: np.random.Generator) -> bool:
-    """Protocol step 4: whether a UE drawn from ``rng`` uniform in the inner
-    window is truncated.  Tier-specific truncation applies tier ``tier``'s
-    cutoff to the best-link weight, matching the analytic convention."""
-    half = config.window_side / 2.0
-    # a single (2,) point: the probe is not a proposal round
-    probe = rng.uniform(-half, half, size=2)
-    _, _, weight = best_link(probe, trees, np.array([t.eta for t in config.tiers]))
-    return bool(config.tiers[tier].rho_o * weight > config.p_max)
 
 
 def build_realization(
@@ -457,62 +514,44 @@ def build_realization(
     rng: np.random.Generator,
     tagged_tier: int = 0,
 ) -> Realization:
-    """Run the full draw/schedule/measure protocol once.
+    """Run the full draw/tag/schedule/measure protocol once.
 
-    The measured BS is the inner-window BS of tier ``tagged_tier`` nearest
-    the window centre.
-    Raises :class:`SaturationError` when the inner window holds no tier
-    ``tagged_tier`` BS, when an inner-window BS is still unscheduled after
-    ``MAX_BATCHES`` proposal rounds, or when an interfering UE lies on the
-    measured BS (infinite interference).
+    The measured BS is the tier-``tagged_tier`` BS that :func:`_tag` picks.
+    Raises :class:`SaturationError` when that tier has no BS, when the tag
+    search or a BS's scheduling reaches its round cap, or when an
+    interfering UE lies on the measured BS (infinite interference).
     """
-    half = config.window_side / 2.0 + config.effective_guard_margin()
+    side = config.window_side
     # the layout draws from ``rng`` itself, every later stage from its own
     # jump of it, taken before any draw
     schedule_rng, fade_rng, probe_rng = [
         np.random.Generator(rng.bit_generator.jumped(k)) for k in (1, 2, 3)
     ]
 
-    tier_xy = [sample_ppp(t.intensity, 2.0 * half, rng) for t in config.tiers]
+    tier_xy = [sample_ppp(t.intensity, side, rng) for t in config.tiers]
+    trees = [cKDTree(p, boxsize=side) if len(p) else None for p in tier_xy]
+    truncated, local, tag_points, tag_batches = _tag(
+        config, tagged_tier, trees, side, probe_rng)
+    tagged = sum(len(p) for p in tier_xy[:tagged_tier]) + local
+    ue_xy, ue_power, n_points, n_queries = _schedule(
+        config, tier_xy, trees, side, schedule_rng)
+
     bs_xy = np.concatenate(tier_xy)
-    bs_tier = np.repeat(np.arange(config.n_tiers), [len(p) for p in tier_xy])
-    inner = np.max(np.abs(bs_xy), axis=1) <= config.window_side / 2.0
-    candidates = np.flatnonzero(inner & (bs_tier == tagged_tier))
-    if candidates.size == 0:
-        raise SaturationError(
-            f"no tier-{tagged_tier} base station inside the inner window"
-        )
-    centre_dist = np.hypot(bs_xy[candidates, 0], bs_xy[candidates, 1])
-    tagged = int(candidates[np.argmin(centre_dist)])
-
-    trees = [cKDTree(p) if len(p) else None for p in tier_xy]
-    ue_xy, ue_power, pending, n_points, n_queries = _schedule(
-        config, tier_xy, trees, half, schedule_rng)
-    if inner[pending].any():
-        # the rounds stop short of the cap only once every BS is scheduled
-        raise SaturationError(
-            f"{np.count_nonzero(inner[pending])} inner-window BSs unscheduled "
-            f"after {MAX_BATCHES} rounds ({n_points} points queried per tree)"
-        )
-
-    scheduled = np.setdiff1d(np.arange(len(bs_xy)), pending, assume_unique=True)
     fade, interference, sinr = _measure(
-        config, tagged_tier, bs_xy, tagged, scheduled, ue_xy, ue_power, fade_rng)
+        config, tagged_tier, bs_xy, tagged, ue_xy, ue_power, side, fade_rng)
     return Realization(
         bs_xy=bs_xy,
-        bs_tier=bs_tier,
-        ue_xy=ue_xy[scheduled],
-        ue_bs=scheduled,
-        ue_power=ue_power[scheduled],
+        bs_tier=np.repeat(np.arange(config.n_tiers), [len(p) for p in tier_xy]),
+        ue_xy=ue_xy,
+        ue_power=ue_power,
         tagged_bs=tagged,
         tagged_tier=tagged_tier,
         tagged_sinr=sinr,
         tagged_fade=fade,
         tagged_interference=interference,
-        tagged_ue_power=float(ue_power[tagged]),
-        probe_truncated=_probe(config, tagged_tier, trees, probe_rng),
-        n_ue_dropped=n_points,
-        n_batches=n_queries,
+        probe_truncated=truncated,
+        n_ue_dropped=n_points + tag_points,
+        n_batches=n_queries + tag_batches,
     )
 
 
@@ -590,7 +629,7 @@ def _run_chunk(args) -> np.ndarray:
             1.0,
             1.0 if r.tagged_sinr <= theta else 0.0,
             math.log1p(r.tagged_sinr),
-            r.tagged_ue_power,
+            r.ue_power[r.tagged_bs],
             1.0 if r.probe_truncated else 0.0,
         )
     return out
@@ -652,8 +691,8 @@ def estimate_metrics(
     if n_discarded > iterations / 2:
         raise SaturationError(
             f"{n_discarded}/{iterations} realizations discarded, more than half: "
-            "an empty inner window, an inner BS left unscheduled or an "
-            "interferer on the tagged BS"
+            "a measured tier with no BS, a round cap reached or an interferer "
+            "on the tagged BS"
         )
     outages = records[valid, 1]
     o_s = _proportion_estimate(int(outages.sum()), n_valid)

@@ -36,18 +36,16 @@ def _quadrature_tail(eta: float, a):
 def _scaled(config, c: float):
     """``config`` with c times the BS density, for one path-loss exponent
     eta: intensities times c, cutoffs, floor and noise times c^(eta/2),
-    window and guard over sqrt(c), built in SI.  Every distance shrinks
+    window over sqrt(c), built in SI.  Every distance shrinks
     by sqrt(c), so every received power grows by c^(eta/2) and every
     transmit power stays: the metrics are those of ``config``."""
     (eta,) = {t.eta for t in config.tiers}
     gain, shrink = c ** (eta / 2.0), math.sqrt(c)
     tiers = tuple(replace(t, intensity=c * t.intensity, rho_o=gain * t.rho_o)
                   for t in config.tiers)
-    guard = config.guard_margin
     return replace(config, tiers=tiers, noise=gain * config.noise,
                    rho_min=gain * config.rho_min,
-                   window_side=config.window_side / shrink,
-                   guard_margin=None if guard is None else guard / shrink)
+                   window_side=config.window_side / shrink)
 
 
 @pytest.fixture(scope="session")

@@ -258,8 +258,10 @@ def test_criterion_8_property_suite(quadrature_tail):
     from scipy import stats
     lam, side = 2e-6, 8000.0
     rng = np.random.default_rng(77)
+    # from the centre of the square [0, side)^2
     dist_samples = np.array([
-        np.min(np.hypot(*sample_ppp(lam, side, rng).T)) for _ in range(10000)
+        np.min(np.hypot(*(sample_ppp(lam, side, rng) - side / 2.0).T))
+        for _ in range(10000)
     ])
     ks = stats.kstest(dist_samples,
                       lambda r: 1.0 - np.exp(-math.pi * lam * r * r))
@@ -269,7 +271,7 @@ def test_criterion_8_property_suite(quadrature_tail):
     small = NetworkConfig.from_engineering(
         tiers=[TierConfig.from_engineering(20.0, -70.0)],
         p_max_watts=1.0, noise_dbm=-90.0,
-        window_km=2.0, guard_km=0.5,
+        window_km=2.0,
     )
     r1 = estimate_metrics(small, 120, seed=13, workers=1)
     r2 = estimate_metrics(small, 120, seed=13, workers=2)

@@ -36,7 +36,6 @@ SMALL_CONFIG = {
     "noise_dbm": -90.0,
     "rho_min_dbm": None,
     "window_km": 2.0,
-    "guard_km": 0.5,
 }
 
 
@@ -210,8 +209,8 @@ class TestSimulate:
         assert "workers" in capsys.readouterr().err
 
     def test_infeasible_saturation_exits_4(self, tmp_path):
-        # 0.05 BS / km^2 leaves the 2 km inner window empty in about 82%
-        # of realizations, each of them discarded
+        # 0.05 BS / km^2 leaves the 2 km window empty in about 82% of
+        # realizations, each of them discarded
         cfg = dict(SMALL_CONFIG)
         cfg["tiers"] = [{"lambda_per_km2": 0.05, "rho_o_dbm": -70.0}]
         path = tmp_path / "hard.json"

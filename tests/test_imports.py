@@ -53,7 +53,7 @@ def test_parallel_run_imports_spatial_before_the_pool():
         "from upcell import NetworkConfig, TierConfig, estimate_metrics\n"
         "cfg = NetworkConfig.from_engineering(\n"
         "    tiers=[TierConfig.from_engineering(20.0, -70.0)],\n"
-        "    window_km=2.0, guard_km=0.5)\n"
+        "    window_km=2.0)\n"
         "estimate_metrics(cfg, 100, seed=1, workers=2)\n"
         "assert 'scipy.spatial' in sys.modules\n"
     )
@@ -69,7 +69,7 @@ def test_pool_matches_one_process_under_start_method(method):
         "multiprocessing.set_start_method(sys.argv[1])\n"
         "cfg = NetworkConfig.from_engineering(\n"
         "    tiers=[TierConfig.from_engineering(20.0, -70.0)],\n"
-        "    window_km=2.0, guard_km=0.5)\n"
+        "    window_km=2.0)\n"
         "pool = estimate_metrics(cfg, 200, seed=1, workers=2)\n"
         "assert pool == estimate_metrics(cfg, 200, seed=1, workers=1)\n",
         method,

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import reprlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,11 @@ from upcell.model import (
     network_from_mapping,
     watts_to_dbm,
 )
+
+
+# the error of any guard_km but null
+GUARD_RULE = ("must be null or omitted: the simulation window is periodic, "
+              "with no guard ring")
 
 
 def paper_defaults(**overrides):
@@ -183,7 +189,9 @@ class TestMappingIngestion:
         (mapping["tiers"][0] if table else mapping)[key] = "x"
         with pytest.raises(ConfigError) as info:
             network_from_mapping(mapping)
-        assert info.value.errors == [(path, "not a number: 'x'")]
+        # any guard but null is an error, a number or not
+        message = GUARD_RULE if key == "guard_km" else "not a number: 'x'"
+        assert info.value.errors == [(path, message)]
 
     @pytest.mark.parametrize("key", ["lambda_per_km2", "rho_o_dbm"])
     def test_missing_tier_key_reported_once(self, key):
@@ -306,7 +314,7 @@ _MAPPINGS = st.fixed_dictionaries(
         "noise_dbm": st.none() | st.floats(-150.0, -60.0),
         "rho_min_dbm": st.none() | st.floats(-200.0, -101.0),
         "window_km": st.floats(0.5, 50.0),
-        "guard_km": st.none() | st.floats(0.0, 5.0),
+        "guard_km": st.none(),
     },
 )
 
@@ -361,8 +369,8 @@ _RULES = [
     ("window_km", 10**400, "window_km",
      f"{reprlib.repr(10**400)} is too large to convert to linear units"),
     ("window_km", None, "window_km", "not a number: None"),
-    ("guard_km", -1.0, "guard_km", "guard margin must be nonnegative"),
-    ("guard_km", math.inf, "guard_km", "must be finite"),
+    ("guard_km", -1.0, "guard_km", GUARD_RULE),
+    ("guard_km", math.inf, "guard_km", GUARD_RULE),
 ]
 
 
@@ -387,7 +395,7 @@ _OUT_OF_RANGE = {
     "noise_dbm": [4000.0, math.inf],
     "rho_min_dbm": [0.0, 4000.0],
     "window_km": [0.0, -1.0, math.inf],
-    "guard_km": [-1.0, math.inf],
+    "guard_km": [-1.0, math.inf, 0.0, 1.0],
 }
 
 
@@ -426,17 +434,13 @@ class TestMetricsReport:
 
 
 class TestGuardMargin:
-    def test_auto_guard_formula(self):
-        cfg = paper_defaults()
-        # 5 * (p_max / rho_o)^(1/eta) = 5 * (1e10)^(1/4) ~ 1581 m
-        assert cfg.effective_guard_margin() == pytest.approx(
-            5.0 * (1.0 / 1e-10) ** 0.25
-        )
+    # the simulation window is a torus: a config may name no guard ring
+    def test_null_guard_accepted(self):
+        assert paper_defaults(guard_km=None) == paper_defaults()
+        assert "guard_margin" not in {f.name for f in fields(NetworkConfig)}
 
-    def test_guard_capped_by_window(self):
-        cfg = paper_defaults(p_max_watts=math.inf)
-        assert cfg.effective_guard_margin() == cfg.window_side / 4.0
-
-    def test_explicit_guard_respected(self):
-        cfg = paper_defaults(guard_km=2.0)
-        assert cfg.effective_guard_margin() == 2000.0
+    @pytest.mark.parametrize("guard_km", [0.0, 2.0])
+    def test_explicit_guard_rejected(self, guard_km):
+        with pytest.raises(ConfigError) as info:
+            paper_defaults(guard_km=guard_km)
+        assert info.value.errors == [("guard_km", GUARD_RULE)]
