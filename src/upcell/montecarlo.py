@@ -17,27 +17,25 @@ composes them:
    no such point within the round cap, is discarded and counted.
 3. :func:`_schedule`: schedule one UE per BS, uniform over the BS's
    eligible region: the points of the torus that the BS serves and whose
-   channel-inversion power fits the budget.  Each BS draws
-   rejection-sampling proposals uniformly in a region that holds that
-   region and maps onto the torus one to one, so it lies in the square
-   of side L about the BS.  :func:`_proposal_regions` picks one of three
-   routes per tier by its load, the number of its BSs a reach disc holds
-   on average:
+   channel-inversion power fits the budget.  Rounds of points follow one
+   first-hit rule: a BS keeps the first point, in draw order, that it may
+   claim and that it serves within budget.  Any BS may claim a point of a
+   seed round, uniform on the torus; only the proposing BS may claim its
+   own proposal, uniform in a region that holds its eligible region and
+   maps onto the torus one to one, so it lies in the square of side L
+   about the BS.  :func:`_proposal_regions` picks one of three routes per
+   tier by its load, the number of its BSs a reach disc holds on average:
    - up to ``SEED_ABOVE``, a disc about the BS;
-   - up to ``TRIANGULATE_ABOVE``, the tier is seeded: a seed round of
-     points uniform on the torus comes first, and a BS of any tier keeps
-     the first seed point it serves within budget; a BS that keeps none
-     goes on with its disc;
+   - up to ``TRIANGULATE_ABOVE``, the tier is seeded: round 0 is a seed
+     round, and a BS that claims none of it goes on with its disc;
    - above it, a box: the BS's same-tier Voronoi cell's bounding box
      clipped to its reach.
    A disc whose radius would exceed L/2 is a box too, the square of side
-   L about the BS.  :class:`_Regions` draws from the discs and boxes.  Any
-   region that holds the eligible region gives the same UE law, and so
-   does the seed round, so the route changes speed, never the
-   distribution.  The BS keeps the first proposal that it serves within
-   budget.  Unresolved BSs get twice as many proposals each round; a
-   realization with a BS still unresolved after the round cap is
-   discarded and counted.
+   L about the BS.  :class:`_Regions` draws from the discs and boxes.  The
+   kept point is uniform on the eligible region whatever the round and
+   the route, so they change speed, never the distribution.  Unresolved
+   BSs get twice as many proposals each round; a realization with a BS
+   still unresolved after the round cap is discarded and counted.
 4. :func:`_measure`: the tagged BS's uplink is received at rho_o * h with
    h a unit-mean exponential fade, while the UE of every other BS
    interferes with power P_i h_i d_i^(-eta_j).  A realization with an
@@ -63,6 +61,7 @@ fade.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -103,6 +102,9 @@ SEED_POINTS = 3
 # periodic copies of the sites within this many mean spacings of an edge
 # close the cells of the sites near it
 CELL_MARGIN = 2.0
+# the most BSs a tier's PPP may hold on average; the largest config in the
+# tests, demos and benchmark holds about 800
+MAX_MEAN_BS = 1e6
 # two-sided 95% standard normal quantile of every confidence interval
 _Z_95 = 1.96
 
@@ -118,13 +120,20 @@ def sample_ppp(
     """Homogeneous PPP on the square [0, side)^2.
 
     Returns an (n, 2) array with n ~ Poisson(intensity * side^2) and
-    positions i.i.d. uniform.
+    positions i.i.d. uniform.  Raises ``ValueError`` when that mean count
+    exceeds ``MAX_MEAN_BS``.
     """
     if intensity < 0:
         raise ValueError(f"intensity must be nonnegative, got {intensity}")
     if not side > 0:
         raise ValueError(f"window side must be positive, got {side}")
-    n = rng.poisson(intensity * side * side)
+    mean = intensity * side * side
+    if mean > MAX_MEAN_BS:
+        raise ValueError(
+            f"a window of side {side:g} m holds {mean:.3g} BSs on average, "
+            f"more than the {MAX_MEAN_BS:.0e} that can be simulated"
+        )
+    n = rng.poisson(mean)
     return rng.uniform(0.0, side, size=(n, 2))
 
 
@@ -415,21 +424,25 @@ def _schedule(config: NetworkConfig, tier_xy, trees, side: float,
     """Protocol step 3: schedule one UE per BS of ``tier_xy`` on the torus
     [0, side)^2, drawing every proposal from ``rng``.
 
-    When a tier is seeded (see :func:`_proposal_regions`), a seed round
-    comes first: ``SEED_POINTS`` points per seeded BS, at most
-    ``MAX_ROUND_POINTS``, uniform on the torus and queried at once.  Every
-    BS, of any tier, keeps the first seed point that it serves within
-    budget.  The law is that of rejection sampling alone.  The seed points
-    are i.i.d. uniform on the torus, so given that a point lands in the
-    eligible region E_b of BS b, it is uniform on E_b; which point lands
-    there first depends on the points' region labels, not on where in
-    their regions they lie; and given every point's label, the positions
-    are independent.  So each BS that keeps a seed point holds a UE
-    uniform on E_b, independent of the others, and a BS that keeps none
-    rejection-samples from a region that holds E_b, which gives the same
-    law.  The rounds after it draw from the BSs' own regions, and their
-    doubling resumes at 8 proposals per BS, as though the seed round had
-    been the first three.
+    Each round's points are queried at once under one first-hit rule: a
+    BS keeps the first point, in draw order, that it may claim and that it
+    serves within budget.  When a tier is seeded (see
+    :func:`_proposal_regions`), round 0 is a seed round: ``SEED_POINTS``
+    points per seeded BS, at most ``MAX_ROUND_POINTS``, uniform on the
+    torus, and any BS, of any tier, may claim one.  Every other round
+    draws 1, 2, 4, ... proposals per pending BS from its own region, or 8,
+    16, ... after a seed round, fewer once they would pass
+    ``MAX_ROUND_POINTS`` over all of them, and only the proposing BS may
+    claim its own proposal.
+
+    The rule gives each BS a UE uniform on its eligible region E_b,
+    independent of the others, as rejection sampling alone does.  A point
+    that BS b may claim is uniform on a region that holds E_b, the torus
+    or b's own region, independent of the other points.  So given that it
+    lands in E_b, it is uniform on E_b; whether it is the first to land
+    there depends on the points' region labels, not on where in their
+    regions they lie; and given every point's label, the positions are
+    independent.
 
     Returns each BS's UE position and transmit power, and the points
     queried and the queries made per tree.  Raises
@@ -445,44 +458,36 @@ def _schedule(config: NetworkConfig, tier_xy, trees, side: float,
     n_bs = len(regions.xy)
     ue_xy = np.zeros((n_bs, 2))
     ue_power = np.zeros(n_bs)
-    pending = np.arange(n_bs)
+    pending = np.ones(n_bs, dtype=bool)
     n_points = n_bs if queried else 0
-    n_rounds = doublings = 0
     n_seed = min(SEED_POINTS * int(np.count_nonzero(regions.seeded)), MAX_ROUND_POINTS)
-    if n_seed:
-        pts = rng.uniform(0.0, side, size=(n_seed, 2))
-        n_points += n_seed
-        n_rounds, doublings = 1, 3
-        tier, local, weight = best_link(pts, trees, etas)
-        power = rhos[tier] * weight
-        fits = np.flatnonzero(power <= config.p_max)
-        # np.unique returns the first index of each value
-        served, first = np.unique(start[tier[fits]] + local[fits], return_index=True)
-        ue_xy[served] = pts[fits[first]]
-        ue_power[served] = power[fits[first]]
-        pending = np.setdiff1d(pending, served, assume_unique=True)
-    while pending.size and n_rounds < MAX_BATCHES:
-        m = max(1, min(2**doublings, MAX_ROUND_POINTS // pending.size))
+    # after a seed round, doubling resumes at 8 proposals per BS
+    shift = 2 if n_seed else 0
+    n_rounds = 0
+    while pending.any() and n_rounds < MAX_BATCHES:
+        if n_rounds == 0 and n_seed:
+            # the seed round: any BS may claim any point
+            pts, owner = rng.uniform(0.0, side, size=(n_seed, 2)), -1
+        else:
+            bs = np.flatnonzero(pending)
+            m = max(1, min(2 ** (n_rounds + shift), MAX_ROUND_POINTS // bs.size))
+            pts, owner = regions.propose(bs, m, rng).reshape(-1, 2), np.repeat(bs, m)
         n_rounds += 1
-        doublings += 1
-        pts = regions.propose(pending, m, rng).reshape(-1, 2)
         n_points += len(pts)
         tier, local, weight = best_link(pts, trees, etas)
         power = rhos[tier] * weight
+        claim = start[tier] + local
         # a region may reach past the budget
-        accept = (
-            (start[tier] + local == np.repeat(pending, m))
-            & (power <= config.p_max)
-        ).reshape(pending.size, m)
-        first = np.argmax(accept, axis=1)
-        hit = accept[np.arange(pending.size), first]
-        chosen = np.flatnonzero(hit) * m + first[hit]
-        ue_xy[pending[hit]] = pts[chosen]
-        ue_power[pending[hit]] = power[chosen]
-        pending = pending[~hit]
-    if pending.size:
+        hit = np.flatnonzero(
+            (power <= config.p_max) & ((owner < 0) | (claim == owner)))
+        # np.unique returns the first index of each value
+        served, first = np.unique(claim[hit], return_index=True)
+        ue_xy[served] = pts[hit[first]]
+        ue_power[served] = power[hit[first]]
+        pending[served] = False
+    if pending.any():
         raise SaturationError(
-            f"{pending.size} BSs unscheduled after {MAX_BATCHES} rounds "
+            f"{np.count_nonzero(pending)} BSs unscheduled after {MAX_BATCHES} rounds "
             f"({n_points} points queried per tree)"
         )
     return ue_xy, ue_power, n_points, n_rounds + int(queried)
@@ -591,7 +596,7 @@ def _proportion_estimate(successes: int, n: int) -> EstimateWithCI:
     return EstimateWithCI(successes / n, (hi - lo) / 2.0, n)
 
 
-def _mean_estimate(values: np.ndarray) -> EstimateWithCI:
+def _mean_estimate(values) -> EstimateWithCI:
     n = len(values)
     mean = math.fsum(values) / n
     var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
@@ -614,25 +619,20 @@ class SimulationReport:
     n_discarded: int
 
 
-def _run_chunk(args) -> np.ndarray:
-    config, seed, tagged_tier, indices = args
-    theta = config.tiers[tagged_tier].theta
-    out = np.empty((len(indices), 5))
-    for row, i in enumerate(indices):
-        rng = realization_rng(seed, i)
-        try:
-            r = build_realization(config, rng, tagged_tier)
-        except SaturationError:
-            out[row] = (0.0, np.nan, np.nan, np.nan, np.nan)
-            continue
-        out[row] = (
-            1.0,
-            1.0 if r.tagged_sinr <= theta else 0.0,
-            math.log1p(r.tagged_sinr),
-            r.ue_power[r.tagged_bs],
-            1.0 if r.probe_truncated else 0.0,
-        )
-    return out
+def _realization_record(config: NetworkConfig, seed: int, tier: int, index: int):
+    """Realization ``index`` of run ``seed``, tier ``tier`` measured: its
+    ``(outage, log1p(SINR), tagged UE power, probe truncated)``, or
+    ``None`` when it is discarded."""
+    try:
+        r = build_realization(config, realization_rng(seed, index), tier)
+    except SaturationError:
+        return None
+    return (
+        r.tagged_sinr <= config.tiers[tier].theta,
+        math.log1p(r.tagged_sinr),
+        float(r.ue_power[r.tagged_bs]),
+        r.probe_truncated,
+    )
 
 
 def estimate_metrics(
@@ -665,12 +665,7 @@ def estimate_metrics(
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    indices = np.arange(iterations)
-    chunk_size = max(1, math.ceil(iterations / (workers * 8)))
-    chunks = [
-        (config, seed, tier, indices[i : i + chunk_size])
-        for i in range(0, iterations, chunk_size)
-    ]
+    record = functools.partial(_realization_record, config, seed, tier)
     if workers > 1:
         # this process builds no realization, but importing the
         # simulator's scipy module here lets forked workers inherit it; a
@@ -680,13 +675,13 @@ def estimate_metrics(
         # the platform's default start method: fork is missing on Windows
         # and unsafe with threads on macOS
         with get_context().Pool(workers) as pool:
-            parts = pool.map(_run_chunk, chunks)
+            records = pool.map(record, range(iterations),
+                               math.ceil(iterations / (workers * 8)))
     else:
-        parts = [_run_chunk(c) for c in chunks]
-    records = np.concatenate(parts, axis=0)
+        records = map(record, range(iterations))
+    kept = [r for r in records if r is not None]
 
-    valid = records[:, 0] == 1.0
-    n_valid = int(valid.sum())
+    n_valid = len(kept)
     n_discarded = iterations - n_valid
     if n_discarded > iterations / 2:
         raise SaturationError(
@@ -694,11 +689,11 @@ def estimate_metrics(
             "a measured tier with no BS, a round cap reached or an interferer "
             "on the tagged BS"
         )
-    outages = records[valid, 1]
-    o_s = _proportion_estimate(int(outages.sum()), n_valid)
-    rate = _mean_estimate(records[valid, 2])
-    power = _mean_estimate(records[valid, 3])
-    o_p = _proportion_estimate(int(records[valid, 4].sum()), n_valid)
+    outages, rates, powers, truncated = zip(*kept)
+    o_s = _proportion_estimate(sum(outages), n_valid)
+    rate = _mean_estimate(rates)
+    power = _mean_estimate(powers)
+    o_p = _proportion_estimate(sum(truncated), n_valid)
 
     # composite identities on the means; half-widths by the delta method
     o_t_mean = o_p.mean + (1.0 - o_p.mean) * o_s.mean

@@ -5,12 +5,12 @@ SINR outage (non-increasing in rho_o), so the total outage is typically
 U-shaped in dB and has an interior optimum.  ``sweep`` maps the analytic
 objective over a dB grid; ``refine_optimum`` polishes the grid optimum by
 golden-section search in the dB domain, between the optimum's grid
-neighbours and down to a bracket ``tol`` dB wide.  It starts from the
-sweep's own values there, so it never returns a value worse than the
-grid optimum (a plateau flat within 1e-12 excepted, where the smallest
-cutoff wins).  Optimization always runs on the analytic (noise-free)
-objective; re-check a found optimum with the Monte Carlo engine if
-confirmation is needed.
+neighbours and down to a bracket ``tol`` dB wide, or as narrow as floats
+allow.  It starts from the sweep's own values there, so it never returns
+a value worse than the grid optimum (a plateau flat within 1e-12
+excepted, where the smallest cutoff wins).  Optimization always runs on
+the analytic (noise-free) objective; re-check a found optimum with the
+Monte Carlo engine if confirmation is needed.
 """
 
 from __future__ import annotations
@@ -144,9 +144,10 @@ def refine_optimum(
     the grid ends.  The sweep's own values at the optimum and at its
     neighbours that evaluated seed the search, so the refined value is
     never worse than the grid optimum, even where the bracket is not
-    unimodal.  On a plateau (objective flat within 1e-12 across every
-    evaluation) the smallest evaluated cutoff is returned instead, since
-    the smallest cutoff minimizes transmit power.
+    unimodal.  The search also stops once the bracket is too narrow for
+    floats to split, whatever ``tol`` is.  On a plateau (objective flat
+    within 1e-12 across every evaluation) the smallest evaluated cutoff is
+    returned instead, since the smallest cutoff minimizes transmit power.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -170,7 +171,8 @@ def refine_optimum(
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > tol:
+    # a probe that rounds onto an end of the bracket would stop it shrinking
+    while (b - a) > tol and a < c and d < b:
         if fc <= fd:  # keep the left interval on ties -> drifts to small rho_o
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -222,6 +222,24 @@ class TestSimulate:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("verb", ["simulate", "validate"])
+    @pytest.mark.parametrize("window_km", [1e6, 1e300])
+    def test_window_too_large_exits_2(self, verb, window_km, tmp_path, capsys):
+        # 2 BS / km^2 on a 10^6 km window is 2e12 BSs, and numpy would
+        # first try to allocate their 29 TiB; at 1e300 km the mean count
+        # overflows to inf and numpy's Poisson draw names no key
+        cfg = {"tiers": [{"lambda_per_km2": 2, "rho_o_dbm": -70}],
+               "window_km": window_km}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        code = main([
+            verb, "--config", str(path), "--output", str(tmp_path / "x.csv"),
+            "--iterations", "100", "--seed", "1", "--workers", "1",
+        ])
+        assert code == 2
+        assert f"a window of side {window_km * 1e3:g} m" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_workers_default_counts_usable_cpus(self, monkeypatch):
         # a process pinned to one CPU of an eight-CPU host gets one worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

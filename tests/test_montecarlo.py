@@ -6,6 +6,7 @@ slow-marked check of the tagged E[P]."""
 
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -165,6 +166,12 @@ class TestSamplePpp:
             sample_ppp(-1.0, 100.0, rng)
         with pytest.raises(ValueError):
             sample_ppp(1.0, 0.0, rng)
+        # a mean count past the cap, finite or overflowed to inf, is
+        # rejected before any draw, naming the window
+        for side in (1e9, 1e303):
+            named = re.escape(f"window of side {side:g} m")
+            with pytest.raises(ValueError, match=named):
+                sample_ppp(2e-6, side, rng)
 
 
 class TestAssociate:
@@ -1219,6 +1226,32 @@ class TestEstimates:
         want = analytic.full_report(cfg, 0).mean_tx_power
         # the 99% interval
         assert abs(sim.mean - want) <= sim.half_width_95 * 2.576 / 1.96, (sim, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reduces_exactly_the_realizations_built(self, workers):
+        # 0.5 BS / km^2 on a 2 km window leaves about one realization in
+        # seven with no BS, each of them discarded
+        cfg = small_config(lambda_per_km2=0.5)
+        kept, n_discarded = [], 0
+        for i in range(120):
+            try:
+                kept.append(build_realization(cfg, realization_rng(4, i)))
+            except SaturationError:
+                n_discarded += 1
+        assert 0 < n_discarded < 60
+        sim = estimate_metrics(cfg, 120, seed=4, workers=workers)
+        assert sim.n_discarded == n_discarded
+        n = len(kept)
+        sinr = np.array([r.tagged_sinr for r in kept])
+        assert sim.truncation_outage.mean == sum(r.probe_truncated for r in kept) / n
+        assert sim.sinr_outage.mean == np.count_nonzero(sinr <= cfg.tiers[0].theta) / n
+        assert sim.spectral_efficiency.mean == pytest.approx(
+            np.mean(np.log1p(sinr)), rel=1e-12)
+        assert sim.mean_tx_power.mean == pytest.approx(
+            np.mean([r.ue_power[r.tagged_bs] for r in kept]), rel=1e-12)
+        for estimate in (sim.truncation_outage, sim.sinr_outage,
+                         sim.spectral_efficiency, sim.mean_tx_power):
+            assert estimate.n_samples == n
 
     def test_composite_fields_follow_identities(self):
         cfg = small_config()

@@ -2,11 +2,16 @@
 tradeoff."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import upcell
 from upcell import analytic
 from upcell.model import NetworkConfig, TierConfig
 from upcell.optimize import OBJECTIVES, objective_value, refine_optimum, sweep
@@ -202,3 +207,24 @@ class TestRefineOptimum:
         for tol in (0.0, -0.01):
             with pytest.raises(ValueError):
                 refine_optimum(defaults(), 0, result, tol=tol)
+
+    def test_tolerance_below_float_spacing_returns(self):
+        # once the bracket is one float wide the probes round onto its ends;
+        # a fresh interpreter with a timeout turns a search that stops
+        # shrinking into a failure rather than a hang
+        code = (
+            "from upcell.model import NetworkConfig, TierConfig\n"
+            "from upcell.optimize import refine_optimum, sweep\n"
+            "cfg = NetworkConfig.from_engineering("
+            "tiers=[TierConfig.from_engineering(2.0, -70.0)], noise_dbm=-90.0)\n"
+            "result = sweep(cfg, 0, (-100.0, -50.0, 11))\n"
+            "print(result.opt_report.total_outage)\n"
+            "print(refine_optimum(cfg, 0, result, tol=1e-300)[1])\n"
+        )
+        src = str(Path(upcell.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, timeout=120,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout.split()
+        grid_value, refined = map(float, out)
+        assert refined <= grid_value
