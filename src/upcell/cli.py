@@ -26,7 +26,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,7 +38,12 @@ from .model import (
     network_from_mapping,
     watts_to_dbm,
 )
-from .montecarlo import SaturationError, estimate_metrics, wilson_interval
+from .montecarlo import (
+    SaturationError,
+    _usable_cpus,
+    estimate_metrics,
+    wilson_interval,
+)
 from .specfun import QuadratureError
 
 EXIT_OK = 0
@@ -275,14 +279,6 @@ def cmd_optimize(args) -> int:
     return _write_grid(args, digest, config, result, rho_star, report)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (not on macOS), else every CPU of the host."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="upcell",
@@ -299,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         if sim:
             p.add_argument("--iterations", type=int, default=10000)
             p.add_argument("--seed", type=int, default=1)
-            p.add_argument("--workers", type=int, default=_usable_cpus())
+            p.add_argument("--workers", type=int, default=_usable_cpus(),
+                           help="worker processes, at most the usable CPUs "
+                                "(default: all of them); any count gives "
+                                "the same output")
         if grid:
             p.add_argument("--from", dest="grid_from", type=float, required=True,
                            help="grid start, dBm")

@@ -63,8 +63,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -619,6 +619,14 @@ class SimulationReport:
     n_discarded: int
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (not on macOS), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _realization_record(config: NetworkConfig, seed: int, tier: int, index: int):
     """Realization ``index`` of run ``seed``, tier ``tier`` measured: its
     ``(outage, log1p(SINR), tagged UE power, probe truncated)``, or
@@ -650,8 +658,10 @@ def estimate_metrics(
     link; the truncation outage on the per-realization probe UE.  Output
     is bitwise reproducible for a given (seed, iterations) whatever
     ``workers`` is, because every realization owns its own keyed stream
-    and the reduction runs in realization order.  ``workers`` must be at
-    least 1, and ``tier`` (the measured tier) a tier index of ``config``.
+    and the reduction runs in realization order.  So the run starts
+    ``min(workers, usable CPUs)`` processes, and none beyond this one when
+    that is 1.  ``workers`` must be at least 1, and ``tier`` (the measured
+    tier) a tier index of ``config``.
     Raises :class:`SaturationError` when more than half the realizations
     are discarded.
     """
@@ -666,17 +676,19 @@ def estimate_metrics(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     record = functools.partial(_realization_record, config, seed, tier)
-    if workers > 1:
+    processes = min(workers, _usable_cpus())
+    if processes > 1:
         # this process builds no realization, but importing the
         # simulator's scipy module here lets forked workers inherit it; a
         # spawn or forkserver worker imports it again all the same
         import scipy.spatial  # noqa: F401
+        from multiprocessing import get_context
 
         # the platform's default start method: fork is missing on Windows
         # and unsafe with threads on macOS
-        with get_context().Pool(workers) as pool:
+        with get_context().Pool(processes) as pool:
             records = pool.map(record, range(iterations),
-                               math.ceil(iterations / (workers * 8)))
+                               math.ceil(iterations / (processes * 8)))
     else:
         records = map(record, range(iterations))
     kept = [r for r in records if r is not None]

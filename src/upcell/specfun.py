@@ -17,11 +17,12 @@ independent references.  Every routine accepts a result only within
 1e-10 relative of its error estimate and raises :class:`QuadratureError`
 otherwise.
 
-Importing this module loads numpy and ``scipy.special`` only.  The
-QUADPACK wrappers import ``scipy.integrate`` (which loads
-``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``) on their first
-call, through the module attribute ``integrate``; they and that attribute
-stay because the benchmark's trace hooks wrap them by name.
+Importing this module loads numpy only.  The special functions import
+``scipy.special`` on their first call, through the module attribute
+``special``, and the QUADPACK wrappers likewise import ``scipy.integrate``
+(which loads ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``)
+through ``integrate``; the wrappers and that attribute stay because the
+benchmark's trace hooks wrap them by name.
 
 Everything here is a pure function of its arguments; there is no shared
 mutable state, so all routines are safe to call concurrently.
@@ -29,12 +30,12 @@ mutable state, so all routines are safe to call concurrently.
 
 from __future__ import annotations
 
+import importlib
 import math
 import sys
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "QuadratureError",
@@ -97,14 +98,14 @@ _PANEL_WIDTH = 1.5
 
 
 def __getattr__(name: str):
-    # PEP 562: the first access to ``integrate`` imports scipy.integrate and
-    # binds it as a module global, which later lookups find directly
-    if name != "integrate":
+    # PEP 562: the first access to ``special`` or ``integrate`` imports that
+    # scipy module and binds it as a module global, which later lookups
+    # find directly; a bare global name would skip this hook
+    if name not in ("special", "integrate"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    global integrate
-    from scipy import integrate
-
-    return integrate
+    module = importlib.import_module(f"scipy.{name}")
+    globals()[name] = module
+    return module
 
 
 class QuadratureError(RuntimeError):
@@ -126,6 +127,7 @@ def lower_incomplete_gamma(a: float, b: float) -> float:
         raise ValueError(f"shape parameter a must be positive, got {a}")
     if not b >= 0:
         raise ValueError(f"upper limit b must be nonnegative, got {b}")
+    special = sys.modules[__name__].special
     return float(special.gammainc(a, b) * special.gamma(a))
 
 
@@ -141,6 +143,7 @@ def _tail_integral_hypergeometric(eta: float, a: np.ndarray) -> np.ndarray:
     # Two branches keep the 2F1 argument in [-1, 0], where the series
     # converges; each term-wise integrates the geometric series of
     # 1/(1 + y^eta) (a < 1) or of y^-eta / (1 + y^-eta) (a >= 1).
+    special = sys.modules[__name__].special
     delta = 2.0 / eta
     out = np.empty_like(a)
     high = a >= 1.0

@@ -1,7 +1,8 @@
-"""Which scipy modules a process loads, and what its worker pool returns
-under each start method.  Each check runs in a fresh interpreter: this
-one has scipy.integrate already (pytest imports it to resolve the
-IntegrationWarning filter), and a process sets its start method once."""
+"""Which scipy and multiprocessing modules a process loads, and what its
+worker pool returns under each start method.  Each check runs in a fresh
+interpreter: this one has scipy.integrate already (pytest imports it to
+resolve the IntegrationWarning filter), and a process sets its start
+method once."""
 
 import multiprocessing
 import os
@@ -31,16 +32,25 @@ def run_fresh(code: str, *args: str) -> None:
 
 
 def test_package_import_loads_no_quadpack_or_qhull():
-    # the analytic verbs need scipy.special alone; scipy.integrate brings
-    # scipy.optimize, .sparse and .linalg, and only the simulator needs
-    # scipy.spatial
+    # importing the package, loading a config and parsing arguments load
+    # numpy alone: no scipy module, no multiprocessing.  A special function
+    # loads scipy.special at its first call; the analytic metrics need no
+    # more, while scipy.integrate brings scipy.optimize, .sparse and
+    # .linalg, and only the simulator needs scipy.spatial
     run_fresh(
-        "import sys\n"
+        "import json, sys\n"
         "import upcell, upcell.cli\n"
-        "loaded = {'scipy.integrate', 'scipy.optimize', 'scipy.spatial'}"
-        " & set(sys.modules)\n"
-        "assert not loaded, loaded\n"
+        "config = upcell.network_from_mapping(json.load(open(sys.argv[1])))\n"
+        "upcell.cli.build_parser().parse_args(\n"
+        "    ['simulate', '--config', sys.argv[1], '--output', 'x.csv'])\n"
+        "loaded = {m for m in sys.modules\n"
+        "          if m.split('.')[0] in ('scipy', 'multiprocessing')}\n"
+        "assert not loaded, sorted(loaded)\n"
+        "upcell.full_report(config, 0)\n"
         "assert 'scipy.special' in sys.modules\n"
+        "loaded = {'scipy.integrate', 'scipy.spatial'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n",
+        str(Path(SRC).parent / "upbench" / "configs" / "quadrature.json"),
     )
 
 

@@ -6,6 +6,7 @@ slow-marked check of the tagged E[P]."""
 
 import hashlib
 import math
+import multiprocessing
 import re
 import warnings
 
@@ -1168,6 +1169,39 @@ class TestReproducibility:
         r2 = estimate_metrics(cfg, 120, seed=11, workers=2)
         r3 = estimate_metrics(cfg, 120, seed=11, workers=1)
         assert r1 == r2 == r3
+
+    @pytest.mark.parametrize("usable, pool", [(1, []), (2, [2, 8])],
+                             ids=["one-cpu", "two-cpus"])
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, usable, pool):
+        # a million workers ask for a pool of the usable CPUs, with chunks
+        # sized by their number (ceil(120 / (2 * 8)) = 8), and for none on
+        # one CPU; the recording pool maps in this process, so no worker
+        # process starts
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                requested.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, iterable, chunksize):
+                requested.append(chunksize)
+                return list(map(func, iterable))
+
+        class RecordingContext:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: usable)
+        monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
+        cfg = small_config()
+        capped = estimate_metrics(cfg, 120, seed=11, workers=10**6)
+        assert requested == pool
+        assert capped == estimate_metrics(cfg, 120, seed=11, workers=1)
 
     def test_different_seeds_differ(self):
         cfg = small_config()
